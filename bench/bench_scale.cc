@@ -1,23 +1,16 @@
 // bench_scale — out-of-core generation throughput under --memory-cap.
 //
 // Two legs, both timing GenerationPipeline::Run end to end:
-//   census    single-relation generation, caps {loose, tight} x commit
-//             threads {1, default}: the tight cap forces spill traffic, and
-//             commit_threads > 1 overlaps MADE sampling of batch b+1 with
-//             the decode + spill write of batch b;
-//   multirel  imdb-like snowflake with a trained model and a tight cap
-//             (partition fan-out > 1): commit_threads=1 is the fully serial
-//             Group-and-Merge baseline, the parallel config prepares whole
-//             partitions (decode, CSV rendering, emission lists) on the
-//             worker pool and commits them in plan order.
-// After timing, every pair of runs that differs only in thread counts is
-// byte-compared (published CSV trees must be memcmp-identical), so a speedup
-// can never come from producing different bytes; the pipeline's own budget
-// high-water mark is asserted <= cap for every run.
+//   census    single-relation generation at a loose (256 MiB) and a tight
+//             (4 MiB) cap: the tight cap forces spill traffic;
+//   multirel  imdb-like snowflake with a trained model and a tight 4 MiB cap
+//             (partition fan-out > 1), so Group-and-Merge runs out of core.
+// The pipeline's own budget high-water mark is asserted <= cap for every
+// run.
 //
 // Results go to stdout and (machine-readable, for cross-PR perf tracking) to
-// --json-out, default BENCH_scale.json: rows/sec per (leg, cap, commit
-// threads), plus process peak RSS.
+// --json-out, default BENCH_scale.json: rows/sec per (leg, cap), plus process
+// peak RSS.
 //
 // Flags:
 //   --smoke          tiny sizes (CI)
@@ -25,11 +18,6 @@
 //   --titles=N       imdb-like title rows           (default 1200; smoke 300)
 //   --foj-samples=N  FOJ samples for the multirel leg
 //                                                (default 16384; smoke 8192)
-//   --commit-threads=N parallel-leg worker count    (default 0 = hardware)
-//   --min-speedup=X  fail (exit 1) when the multirel parallel/serial rows/sec
-//                    ratio lands below X (default 0 = report only); skipped
-//                    with a note on single-core machines, where the in-order
-//                    commit pipeline cannot overlap anything
 //   --json-out=F     output file ("" disables; default BENCH_scale.json)
 //
 // The working directory is a unique per-run subdirectory of the system temp
@@ -42,11 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,8 +51,6 @@ struct Args {
   size_t rows = 12000;
   size_t titles = 1200;
   size_t foj_samples = 16384;
-  size_t commit_threads = 0;  // 0 = hardware concurrency.
-  double min_speedup = 0;
   std::string json_out = "BENCH_scale.json";
 };
 
@@ -91,10 +73,6 @@ Args ParseArgs(int argc, char** argv) {
       args.titles = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--foj-samples=")) {
       args.foj_samples = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--commit-threads=")) {
-      args.commit_threads = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--min-speedup=")) {
-      args.min_speedup = std::atof(v);
     } else if (const char* v = value("--json-out=")) {
       args.json_out = v;
     } else {
@@ -139,38 +117,19 @@ class ScratchDir {
   std::string path_;
 };
 
-/// Reads every regular file under `dir` keyed by relative path — the
-/// byte-identity oracle across thread counts.
-std::map<std::string, std::string> ReadTree(const std::string& dir) {
-  std::map<std::string, std::string> out;
-  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
-    if (!e.is_regular_file()) continue;
-    std::ifstream in(e.path(), std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    out[std::filesystem::relative(e.path(), dir).string()] = ss.str();
-  }
-  return out;
-}
-
 struct RunResult {
   double rows_per_sec = 0;
   uint64_t rows = 0;
   int64_t peak_reserved = 0;
-  std::string out_dir;
 };
 
 /// One timed pipeline run; exits the process on any pipeline error.
 RunResult TimedRun(const SamModel& sam, const std::string& root,
-                   const std::string& tag, size_t commit_threads,
-                   size_t partition_threads) {
+                   const std::string& tag) {
   RunResult r;
-  r.out_dir = root + "/out_" + tag;
   GenerationPipelineOptions popts;
-  popts.out_dir = r.out_dir;
+  popts.out_dir = root + "/out_" + tag;
   popts.work_dir = root + "/work_" + tag;
-  popts.partition_threads = partition_threads;
-  popts.commit_threads = commit_threads;
   GenerationPipeline pipeline(&sam, popts);
   const auto t0 = std::chrono::steady_clock::now();
   auto run = pipeline.Run();
@@ -181,12 +140,6 @@ RunResult TimedRun(const SamModel& sam, const std::string& root,
   r.peak_reserved = run.ValueOrDie().peak_reserved;
   r.rows_per_sec = static_cast<double>(r.rows) / seconds;
   return r;
-}
-
-void CheckIdentical(const RunResult& a, const RunResult& b, const char* leg) {
-  SAM_CHECK(ReadTree(a.out_dir) == ReadTree(b.out_dir))
-      << leg << ": published databases differ across thread counts — the "
-      << "parallel commit pipeline broke the byte-identity contract";
 }
 
 void CheckCap(const RunResult& r, int64_t cap, const std::string& tag) {
@@ -200,14 +153,12 @@ int Run(int argc, char** argv) {
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf("bench_scale: census rows=%zu, imdb titles=%zu, foj=%zu, "
-              "hw threads=%zu, commit-threads=%zu\n",
-              args.rows, args.titles, args.foj_samples, hw,
-              args.commit_threads);
+              "hw threads=%zu\n",
+              args.rows, args.titles, args.foj_samples, hw);
 
-  // -- Census leg: single-relation, caps x commit threads ------------------
+  // -- Census leg: single-relation, loose and tight cap --------------------
   struct CensusPoint {
     int64_t cap_mib;
-    size_t commit_threads;
     double rows_per_sec;
   };
   std::vector<CensusPoint> census_points;
@@ -231,31 +182,18 @@ int Run(int argc, char** argv) {
                                   static_cast<int64_t>(args.rows), options);
       SAM_CHECK(sam.ok()) << sam.status().ToString();
       sam.ValueOrDie()->model()->SyncSamplerWeights();
-      RunResult serial;
-      for (const size_t ct : {size_t{1}, args.commit_threads}) {
-        const std::string tag =
-            "census_c" + std::to_string(cap_mib) + "_t" + std::to_string(ct);
-        RunResult r = TimedRun(*sam.ValueOrDie(), scratch.path(), tag, ct,
-                               /*partition_threads=*/ct);
-        CheckCap(r, options.memory_cap_bytes, tag);
-        if (ct == 1) {
-          serial = r;
-        } else {
-          CheckIdentical(serial, r, "census");
-        }
-        census_points.push_back(CensusPoint{cap_mib, ct, r.rows_per_sec});
-        std::printf("census  cap=%4lld MiB  commit-threads=%zu  "
-                    "%10.0f rows/s\n",
-                    static_cast<long long>(cap_mib), ct, r.rows_per_sec);
-      }
+      const std::string tag = "census_c" + std::to_string(cap_mib);
+      const RunResult r = TimedRun(*sam.ValueOrDie(), scratch.path(), tag);
+      CheckCap(r, options.memory_cap_bytes, tag);
+      census_points.push_back(CensusPoint{cap_mib, r.rows_per_sec});
+      std::printf("census   cap=%4lld MiB  %10.0f rows/s\n",
+                  static_cast<long long>(cap_mib), r.rows_per_sec);
     }
   }
 
-  // -- Multi-relation leg: tight cap, serial vs parallel commits -----------
+  // -- Multi-relation leg: tight cap ----------------------------------------
   const int64_t multirel_cap = 4ll << 20;
-  double serial_rps = 0;
-  double parallel_rps = 0;
-  uint64_t multirel_rows = 0;
+  RunResult multirel;
   {
     Database db = MakeImdbLike(args.titles, /*seed=*/13);
     auto exec = Executor::Create(&db);
@@ -277,26 +215,13 @@ int Run(int argc, char** argv) {
     SAM_CHECK(sam.ok()) << sam.status().ToString();
     sam.ValueOrDie()->model()->SyncSamplerWeights();
 
-    RunResult serial = TimedRun(*sam.ValueOrDie(), scratch.path(),
-                                "multirel_serial", /*commit_threads=*/1,
-                                /*partition_threads=*/1);
-    CheckCap(serial, multirel_cap, "multirel_serial");
-    RunResult parallel = TimedRun(*sam.ValueOrDie(), scratch.path(),
-                                  "multirel_parallel", args.commit_threads,
-                                  /*partition_threads=*/args.commit_threads);
-    CheckCap(parallel, multirel_cap, "multirel_parallel");
-    CheckIdentical(serial, parallel, "multirel");
-    serial_rps = serial.rows_per_sec;
-    parallel_rps = parallel.rows_per_sec;
-    multirel_rows = parallel.rows;
-    std::printf("multirel cap=%4lld MiB  serial    %10.0f rows/s\n",
-                static_cast<long long>(multirel_cap >> 20), serial_rps);
-    std::printf("multirel cap=%4lld MiB  parallel  %10.0f rows/s  %5.2fx\n",
-                static_cast<long long>(multirel_cap >> 20), parallel_rps,
-                parallel_rps / serial_rps);
+    multirel = TimedRun(*sam.ValueOrDie(), scratch.path(), "multirel");
+    CheckCap(multirel, multirel_cap, "multirel");
+    std::printf("multirel cap=%4lld MiB  %10.0f rows/s\n",
+                static_cast<long long>(multirel_cap >> 20),
+                multirel.rows_per_sec);
   }
 
-  const double speedup = parallel_rps / serial_rps;
   const double peak_rss_mib = PeakRssMib();
   std::printf("peak RSS %.1f MiB\n", peak_rss_mib);
 
@@ -308,44 +233,22 @@ int Run(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\"bench\": \"scale\", \"hw_threads\": %zu, "
-                 "\"commit_threads\": %zu, \"peak_rss_mib\": %.1f, "
-                 "\"census\": [",
-                 hw, args.commit_threads, peak_rss_mib);
+                 "\"peak_rss_mib\": %.1f, \"census\": [",
+                 hw, peak_rss_mib);
     for (size_t i = 0; i < census_points.size(); ++i) {
-      std::fprintf(f,
-                   "%s{\"cap_mib\": %lld, \"commit_threads\": %zu, "
-                   "\"rows_per_sec\": %.0f}",
+      std::fprintf(f, "%s{\"cap_mib\": %lld, \"rows_per_sec\": %.0f}",
                    i == 0 ? "" : ", ",
                    static_cast<long long>(census_points[i].cap_mib),
-                   census_points[i].commit_threads,
                    census_points[i].rows_per_sec);
     }
     std::fprintf(f,
                  "], \"multirel\": {\"cap_mib\": %lld, \"rows\": %llu, "
-                 "\"serial_rows_per_sec\": %.0f, "
-                 "\"parallel_rows_per_sec\": %.0f, \"speedup\": %.3f}}\n",
+                 "\"rows_per_sec\": %.0f}}\n",
                  static_cast<long long>(multirel_cap >> 20),
-                 static_cast<unsigned long long>(multirel_rows), serial_rps,
-                 parallel_rps, speedup);
+                 static_cast<unsigned long long>(multirel.rows),
+                 multirel.rows_per_sec);
     std::fclose(f);
     std::printf("wrote %s\n", args.json_out.c_str());
-  }
-
-  if (args.min_speedup > 0) {
-    if (hw <= 1) {
-      std::printf("note: single-core machine, --min-speedup=%.2f not "
-                  "enforced (the in-order commit pipeline has nothing to "
-                  "overlap with)\n",
-                  args.min_speedup);
-    } else if (speedup < args.min_speedup) {
-      std::fprintf(stderr,
-                   "error: parallel-commit speedup %.2fx below required "
-                   "%.2fx at cap=%lld MiB — the prepared-partition pipeline "
-                   "is not paying for itself\n",
-                   speedup, args.min_speedup,
-                   static_cast<long long>(multirel_cap >> 20));
-      return 1;
-    }
   }
   return 0;
 }

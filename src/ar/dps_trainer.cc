@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 
 #include "ar/training_checkpoint.h"
 #include "autodiff/adam.h"
 #include "autodiff/ops.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "obs/metrics_registry.h"
@@ -66,26 +66,6 @@ ColumnMasks BuildColumnMasks(const std::vector<const CompiledQuery*>& queries,
   return out;
 }
 
-/// FNV-1a accumulator used for the training-configuration fingerprint.
-class Fnv1a {
- public:
-  void Add(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 1099511628211ull;
-    }
-  }
-  void AddDouble(double d) {
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    Add(bits);
-  }
-  uint64_t hash() const { return h_; }
-
- private:
-  uint64_t h_ = 1469598103934665603ull;
-};
-
 }  // namespace
 
 Status ValidateDpsOptions(const DpsOptions& o) {
@@ -138,41 +118,41 @@ uint64_t TrainingFingerprint(const DpsOptions& options, const MadeModel& model,
   // Training options that shape the arithmetic. The checkpointing knobs
   // (dir/cadence/retention/resume) only decide *when* snapshots are written,
   // never what is computed, so they are deliberately excluded.
-  h.Add(options.epochs);
-  h.Add(options.batch_size);
-  h.Add(options.sample_paths);
-  h.AddDouble(options.learning_rate);
-  h.AddDouble(options.lr_decay);
-  h.AddDouble(options.gumbel_tau);
-  h.AddDouble(options.gumbel_tau_final);
-  h.AddDouble(options.clip_norm);
-  h.Add(options.seed);
-  h.AddDouble(options.time_budget_seconds);
+  h.MixU64(options.epochs);
+  h.MixU64(options.batch_size);
+  h.MixU64(options.sample_paths);
+  h.MixDouble(options.learning_rate);
+  h.MixDouble(options.lr_decay);
+  h.MixDouble(options.gumbel_tau);
+  h.MixDouble(options.gumbel_tau_final);
+  h.MixDouble(options.clip_norm);
+  h.MixU64(options.seed);
+  h.MixDouble(options.time_budget_seconds);
   // Model architecture.
   const MadeModel::Options& mo = model.options();
-  h.Add(mo.hidden_sizes.size());
-  for (size_t hs : mo.hidden_sizes) h.Add(hs);
-  h.Add(mo.residual ? 1 : 0);
-  h.Add(mo.direct_connections ? 1 : 0);
-  h.AddDouble(mo.init_scale);
-  h.Add(mo.seed);
+  h.MixU64(mo.hidden_sizes.size());
+  for (size_t hs : mo.hidden_sizes) h.MixU64(hs);
+  h.MixU64(mo.residual ? 1 : 0);
+  h.MixU64(mo.direct_connections ? 1 : 0);
+  h.MixDouble(mo.init_scale);
+  h.MixU64(mo.seed);
   // Schema layout (column order matters: it defines the AR factorisation).
   const ModelSchema& schema = model.schema();
-  h.Add(schema.num_columns());
-  h.Add(schema.total_domain());
-  h.Add(static_cast<uint64_t>(schema.foj_size()));
+  h.MixU64(schema.num_columns());
+  h.MixU64(schema.total_domain());
+  h.MixU64(static_cast<uint64_t>(schema.foj_size()));
   for (const auto& c : schema.columns()) {
-    h.Add(c.domain_size);
-    h.Add(c.offset);
-    h.Add(static_cast<uint64_t>(c.kind));
+    h.MixU64(c.domain_size);
+    h.MixU64(c.offset);
+    h.MixU64(static_cast<uint64_t>(c.kind));
   }
   // Training workload (labels + shape; the predicates themselves are pinned
   // by the schema's compiled domains).
-  h.Add(train.size());
+  h.MixU64(train.size());
   for (const auto& q : train) {
-    h.Add(static_cast<uint64_t>(q.cardinality));
-    h.Add(q.relations.size());
-    h.Add(q.predicates.size());
+    h.MixU64(static_cast<uint64_t>(q.cardinality));
+    h.MixU64(q.relations.size());
+    h.MixU64(q.predicates.size());
   }
   return h.hash();
 }

@@ -63,11 +63,8 @@ struct GenerationCheckpoint {
   /// sizes); verified against the work directory before resuming.
   std::vector<SpillFileInfo> manifest;
 
-  /// Accounting snapshots (reporting only; not replayed). Everything in a
-  /// checkpoint is independent of the pipeline's thread counts *except*
-  /// `peak_reserved`: window/speculation reservations depend on how many
-  /// workers run, so only this advisory field may differ between otherwise
-  /// byte-identical runs (the identity tests mask it accordingly).
+  /// Accounting snapshots (reporting only; not replayed). `peak_reserved`
+  /// is the budget high-water mark so far.
   uint64_t rows_total = 0;
   uint64_t spill_bytes = 0;
   int64_t peak_reserved = 0;

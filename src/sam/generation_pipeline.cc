@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <future>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -12,8 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/random.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "sam/generation_checkpoint.h"
@@ -32,39 +32,8 @@ namespace {
 // a step from a checkpoint reproduces its bytes exactly.
 // ---------------------------------------------------------------------------
 
-struct Fnv1a {
-  uint64_t h = 1469598103934665603ull;
-  void Mix(const void* data, size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void MixU64(uint64_t v) { Mix(&v, sizeof(v)); }
-  void MixI64(int64_t v) { Mix(&v, sizeof(v)); }
-  void MixDouble(double v) { Mix(&v, sizeof(v)); }
-  void MixString(const std::string& s) {
-    MixU64(s.size());
-    Mix(s.data(), s.size());
-  }
-};
-
-uint64_t HashKey(const std::string& s) {
-  Fnv1a f;
-  f.Mix(s.data(), s.size());
-  return f.h;
-}
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 uint64_t DeriveSeed(uint64_t base, const std::string& tag) {
-  return SplitMix64(base ^ HashKey(tag));
+  return Mix64(base ^ Fnv1aHash(tag));
 }
 
 // ---------------------------------------------------------------------------
@@ -193,77 +162,9 @@ struct GenerationPipeline::Impl {
   /// Keyed by (child relation, partition); ordered for deterministic flushes.
   std::map<std::pair<std::string, size_t>, VirtBuffer> virt_bufs;
 
-  /// \brief Parallel in-order completion window for partition steps.
-  ///
-  /// A partition step splits into a parallelizable phase A (load/scan this
-  /// partition's virtuals and build its merge groups — pure derived data)
-  /// and a phase B (key assignment, row emission, chunk flushes) that
-  /// threads pk counters, leaf carry and chunk sequence numbers across
-  /// partitions and therefore must *commit* in plan order. On a window
-  /// miss, upcoming partitions of the active relation are built
-  /// concurrently on `pool`, with the window's memory reserved from the
-  /// budget before dispatch. For keyed relations with parallel commits
-  /// enabled, workers additionally prepare the whole phase-B plan — decoded
-  /// CSV rows split at the pk field, ordered child-emission lists, leftover
-  /// and summary chunk contents — from a worker-local RNG seeded with the
-  /// partition's deterministic seed; the serial commit then replays the
-  /// plan through the very same buffer/flush accounting, so the published
-  /// database and every spill artifact are byte-identical for every thread
-  /// count.
-  ///
-  /// Leaf phase B stays serial: its emission counts depend on the carry
-  /// crossing partitions, which would change RNG draw counts if speculated.
-
-  /// One decoded CSV row split at the primary-key field; the commit splices
-  /// `Value(pk).ToString()` between the pieces, reproducing
-  /// `EmitRow` + `AppendCsvRow` byte-for-byte.
-  struct PreparedRow {
-    std::string prefix;  ///< Bytes before the pk value (incl. its comma).
-    std::string suffix;  ///< Bytes after the pk value (incl. '\n').
-    uint32_t emits = 0;  ///< Child emissions belonging to this row.
-  };
-  /// One child virtual emission with everything pk-independent precomputed.
-  struct PreparedEmit {
-    uint32_t child = 0;  ///< Index into active.children.
-    uint32_t sample = 0;
-    double fraction = 0.0;   ///< > 0 by construction (zero guard applied).
-    std::string key_suffix;  ///< GroupKey minus the leading fk value.
-  };
-  struct PreparedPartition {
-    std::vector<Group> groups;  ///< Phase A output (leaf / unplanned commit).
-    bool planned = false;       ///< Keyed phase-B plan below is valid.
-    std::vector<PreparedRow> rows;
-    std::vector<PreparedEmit> emits;  ///< Flattened, row-major order.
-    LeftoverChunk leftover;
-    GroupSummaryChunk summary;
-  };
-  std::unique_ptr<ThreadPool> pool;
-  struct CommitWindow {
-    bool valid = false;
-    size_t rel = 0;  ///< Topo index the window belongs to.
-    std::map<size_t, PreparedPartition> parts;
-    int64_t reserved = 0;
-  };
-  CommitWindow window;
-
-  /// \brief Speculative MADE sampling of the next FOJ batch, overlapping
-  /// the spill write / decode of the current one. `SampleFojBatch` is
-  /// bit-identical per (base_seed, batch), so a discarded speculation is
-  /// recomputed identically on resume.
-  struct SamplePrefetch {
-    bool valid = false;
-    size_t batch_index = 0;
-    int64_t reserved = 0;
-    SamModel::FojSample foj;  ///< Filled by the worker before `done`.
-    std::future<void> done;
-  };
-  SamplePrefetch sample_prefetch;
-
   ~Impl() {
-    DrainSamplePrefetch();
     ClearRowBuffer();
     ClearVirtBuffers();
-    ClearWindow();
     DeactivateRelation();
     ReleasePreamble();
   }
@@ -303,31 +204,6 @@ struct GenerationPipeline::Impl {
         pool / static_cast<int64_t>(std::max<size_t>(buffer_count, 1));
     return static_cast<size_t>(std::max<int64_t>(
         per / static_cast<int64_t>(sizeof(SpillVirtual)), 256));
-  }
-
-  /// Effective commit-thread knob: `commit_threads` falls back to
-  /// `partition_threads` (0 still means hardware concurrency). 1 requests a
-  /// fully serial commit pipeline — no prepared phase-B plans and no
-  /// speculative sampling — which is the baseline the parallel paths must
-  /// stay byte-identical to. Deliberately excluded from the fingerprint:
-  /// resuming under a different thread count is supported.
-  size_t CommitThreadsKnob() const {
-    return opts.commit_threads > 0 ? opts.commit_threads
-                                   : opts.partition_threads;
-  }
-  bool ParallelCommitEnabled() const { return CommitThreadsKnob() != 1; }
-
-  ThreadPool* Pool() {
-    if (pool == nullptr) {
-      const size_t ct = CommitThreadsKnob();
-      const size_t pt = opts.partition_threads;
-      // Either knob at 0 means hardware concurrency; otherwise the pool
-      // serves both the prefetch and commit windows, so size it for the
-      // larger request.
-      pool = std::make_unique<ThreadPool>(
-          ct == 0 || pt == 0 ? 0 : std::max(ct, pt));
-    }
-    return pool.get();
   }
 
   /// Partition fan-out, derived only from (k, cap) so the plan — and with it
@@ -396,7 +272,7 @@ struct GenerationPipeline::Impl {
       f.MixU64(m.cols());
       f.Mix(m.data(), m.rows() * m.cols() * sizeof(double));
     }
-    return f.h;
+    return f.hash();
   }
 
   void BuildPlan() {
@@ -612,7 +488,6 @@ struct GenerationPipeline::Impl {
 
   void DeactivateRelation() {
     if (!active.valid) return;
-    ClearWindow();  // Window contents are derived from this relation.
     if (active.reserved > 0) budget.Release(active.reserved);
     active = ActiveRel{};
   }
@@ -737,22 +612,15 @@ struct GenerationPipeline::Impl {
 
   // -- Group keys -----------------------------------------------------------
 
-  /// Key format matches the in-RAM path exactly:
-  /// "<fk>|<code>,<code>,...,". Split so prepared commits can precompute
-  /// everything after the fk (the pk is only known at commit time).
-  std::string GroupKeySuffix(uint32_t sample,
-                             const std::vector<size_t>& cols) const {
-    std::string key(1, '|');
+  /// Key format matches the in-RAM path exactly: "<fk>|<code>,<code>,...,".
+  std::string GroupKey(int64_t fk, uint32_t sample,
+                       const std::vector<size_t>& cols) const {
+    std::string key = std::to_string(fk) + '|';
     for (size_t c : cols) {
       key += std::to_string(active.resident.at(c)[sample]);
       key += ',';
     }
     return key;
-  }
-
-  std::string GroupKey(int64_t fk, uint32_t sample,
-                       const std::vector<size_t>& cols) const {
-    return std::to_string(fk) + GroupKeySuffix(sample, cols);
   }
 
   // -- Row emission ---------------------------------------------------------
@@ -779,11 +647,8 @@ struct GenerationPipeline::Impl {
     return Status::OK();
   }
 
-  /// Per-row accounting shared by the serial and prepared-commit paths:
-  /// the caller has just appended exactly one rendered row to `row_buf.csv`.
-  /// Keeping the slab reservations and the flush check here means chunk
-  /// boundaries are decided by the identical byte thresholds either way.
-  Status AccountAppendedRow(const std::string& rel) {
+  Status AppendRow(const std::string& rel, const std::vector<Value>& row) {
+    AppendCsvRow(row, &row_buf.csv);
     row_buf.rows++;
     RelState(rel).rows_emitted++;
     // Reserve buffer growth in 64 KiB slabs (per-byte reservations would
@@ -798,11 +663,6 @@ struct GenerationPipeline::Impl {
       SAM_RETURN_NOT_OK(FlushRowChunk(rel));
     }
     return Status::OK();
-  }
-
-  Status AppendRow(const std::string& rel, const std::vector<Value>& row) {
-    AppendCsvRow(row, &row_buf.csv);
-    return AccountAppendedRow(rel);
   }
 
   Status EmitRow(uint32_t sample, int64_t pk, int64_t fk, Rng* rng) {
@@ -825,34 +685,6 @@ struct GenerationPipeline::Impl {
       }
     }
     return AppendRow(active.name, row);
-  }
-
-  /// Renders one row's CSV bytes split at the pk field, consuming exactly
-  /// the RNG draws `EmitRow` would. Thread-safe (reads only `active` and the
-  /// schema); must mirror `EmitRow` + `AppendCsvRow` byte-for-byte.
-  void RenderPreparedRow(uint32_t sample, int64_t fk, Rng* rng,
-                         PreparedRow* out) const {
-    std::string* piece = &out->prefix;
-    for (size_t c = 0; c < active.col_plan.size(); ++c) {
-      const ColPlan& cp = active.col_plan[c];
-      if (c > 0) piece->push_back(',');
-      switch (cp.kind) {
-        case ColPlan::Kind::kPk:
-          piece = &out->suffix;  // `Value(pk).ToString()` spliced at commit.
-          break;
-        case ColPlan::Kind::kFk:
-          piece->append(Value(fk).ToString());
-          break;
-        case ColPlan::Kind::kContent: {
-          const ModelColumn& mc = schema().columns()[cp.model_col];
-          const Value v = schema().DecodeContent(
-              mc, active.resident.at(cp.model_col)[sample], rng);
-          if (!v.is_null()) piece->append(v.ToString());
-          break;
-        }
-      }
-    }
-    piece->push_back('\n');
   }
 
   // -- Child virtuals -------------------------------------------------------
@@ -899,17 +731,7 @@ struct GenerationPipeline::Impl {
     if (fraction <= 0.0) return Status::OK();
     const std::string child_key =
         GroupKey(fk, sample, active.child_group_cols.at(child));
-    return EmitChildVirtualKeyed(child, sample, fraction, fk, child_key);
-  }
-
-  /// Routing + buffering + accounting behind `EmitChildVirtual`, shared
-  /// with the prepared-commit path (which assembles `child_key` from a
-  /// precomputed suffix): identical incoming-mass FP order, identical
-  /// flush thresholds, identical chunk sequence.
-  Status EmitChildVirtualKeyed(const std::string& child, uint32_t sample,
-                               double fraction, int64_t fk,
-                               const std::string& child_key) {
-    const size_t part = HashKey(child_key) % partitions;
+    const size_t part = Fnv1aHash(child_key) % partitions;
     VirtBuffer& buf = virt_bufs[{child, part}];
     buf.records.push_back(SpillVirtual{sample, fraction, fk});
     RelState(child).incoming_mass += w_base.at(child)[sample] * fraction;
@@ -929,44 +751,6 @@ struct GenerationPipeline::Impl {
 
   // -- Sample steps ---------------------------------------------------------
 
-  void DrainSamplePrefetch() {
-    if (!sample_prefetch.valid) return;
-    if (sample_prefetch.done.valid()) sample_prefetch.done.wait();
-    if (sample_prefetch.reserved > 0) budget.Release(sample_prefetch.reserved);
-    sample_prefetch = SamplePrefetch{};
-  }
-
-  /// Kicks off background sampling of the next FOJ batch when (a) the next
-  /// plan step is that batch, (b) parallel commits are enabled, and (c) the
-  /// budget fits the speculative codes with a quarter of the cap left free
-  /// — speculation must never make a mandatory reservation fail that would
-  /// have succeeded serially. On any miss the next step simply samples
-  /// synchronously, producing the identical bytes.
-  void MaybeStartSamplePrefetch(size_t batch_index) {
-    if (!ParallelCommitEnabled()) return;
-    const size_t next = batch_index + 1;
-    if (static_cast<uint64_t>(next) >= sample_batches) return;
-    if (state.next_step + 1 >= plan.size()) return;
-    const Step& s = plan[state.next_step + 1];
-    if (s.kind != Step::Kind::kSample || s.index != next) return;
-    const size_t batch = options().generation_batch;
-    const uint64_t start = static_cast<uint64_t>(next) * batch;
-    const size_t rows =
-        static_cast<size_t>(std::min<uint64_t>(batch, k - start));
-    const int64_t bytes = FojChunk::BytesFor(rows, schema().num_columns());
-    if (budget.cap() > 0 &&
-        budget.reserved() + bytes > budget.cap() - budget.cap() / 4) {
-      return;
-    }
-    if (!budget.Reserve(bytes, "speculative sample batch").ok()) return;
-    sample_prefetch.valid = true;
-    sample_prefetch.batch_index = next;
-    sample_prefetch.reserved = bytes;
-    sample_prefetch.done = Pool()->Submit([this, next, rows] {
-      sample_prefetch.foj = sam->SampleFojBatch(state.base_seed, next, rows);
-    });
-  }
-
   Status ExecSample(size_t batch_index) {
     obs::TraceSpan span("generate/pipeline/sample");
     const size_t batch = options().generation_batch;
@@ -974,25 +758,10 @@ struct GenerationPipeline::Impl {
     const size_t rows =
         static_cast<size_t>(std::min<uint64_t>(batch, k - start));
     ScopedReservation res(&budget);
-    SamModel::FojSample foj;
-    if (sample_prefetch.valid && sample_prefetch.batch_index == batch_index) {
-      sample_prefetch.done.wait();
-      foj = std::move(sample_prefetch.foj);
-      // Hand the speculative reservation to this step's scope; releasing
-      // and immediately re-acquiring the same amount cannot fail.
-      const int64_t bytes = sample_prefetch.reserved;
-      sample_prefetch = SamplePrefetch{};
-      budget.Release(bytes);
-      SAM_RETURN_NOT_OK(res.Acquire(bytes, "sample batch codes"));
-    } else {
-      DrainSamplePrefetch();  // Defensive: a stale speculation is discarded.
-      SAM_RETURN_NOT_OK(
-          res.Acquire(FojChunk::BytesFor(rows, schema().num_columns()),
-                      "sample batch codes"));
-      foj = sam->SampleFojBatch(state.base_seed, batch_index, rows);
-    }
-    // Overlap the spill write / decode below with sampling of batch b+1.
-    MaybeStartSamplePrefetch(batch_index);
+    SAM_RETURN_NOT_OK(res.Acquire(
+        FojChunk::BytesFor(rows, schema().num_columns()), "sample batch codes"));
+    SamModel::FojSample foj =
+        sam->SampleFojBatch(state.base_seed, batch_index, rows);
 
     if (multi) {
       FojChunk chunk;
@@ -1038,11 +807,10 @@ struct GenerationPipeline::Impl {
 
   // -- Partition steps (Group-and-Merge) ------------------------------------
 
-  /// Phase A, gather: this partition's virtual samples, without budget
-  /// accounting (the caller reserves — the serial path incrementally, the
-  /// prefetch path for the whole window before dispatch). Thread-safe: reads
-  /// only `active`, `state` and spill files.
-  Result<std::vector<SpillVirtual>> GatherVirtuals(size_t part) const {
+  /// This partition's virtual samples, reserved from the budget as they
+  /// load (chunk by chunk for spilled virtuals).
+  Result<std::vector<SpillVirtual>> GatherVirtuals(size_t part,
+                                                   ScopedReservation* res) {
     std::vector<SpillVirtual> virtuals;
     if (active.name == schema().root()) {
       // Root virtuals are implicit: every positively-weighted sample at
@@ -1052,26 +820,29 @@ struct GenerationPipeline::Impl {
         if (partitions > 1) {
           const std::string key =
               GroupKey(-1, static_cast<uint32_t>(s), active.group_cols);
-          if (HashKey(key) % partitions != part) continue;
+          if (Fnv1aHash(key) % partitions != part) continue;
         }
         virtuals.push_back(SpillVirtual{static_cast<uint32_t>(s), 1.0, -1});
       }
-    } else {
-      const auto& rs = state.relations[rel_index.at(active.name)];
-      for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
-        const std::string name = VirtChunkName(active.name, part, seq);
-        SAM_ASSIGN_OR_RETURN(VirtualChunk chunk,
-                             VirtualChunk::Load(Path(name)));
-        virtuals.insert(virtuals.end(), chunk.records.begin(),
-                        chunk.records.end());
-      }
+      SAM_RETURN_NOT_OK(res->Acquire(VirtualChunk::BytesFor(virtuals.size()),
+                                     "root virtual samples"));
+      return virtuals;
+    }
+    const auto& rs = RelState(active.name);
+    for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
+      const std::string name = VirtChunkName(active.name, part, seq);
+      SAM_ASSIGN_OR_RETURN(VirtualChunk chunk, VirtualChunk::Load(Path(name)));
+      SAM_RETURN_NOT_OK(
+          res->Acquire(VirtualChunk::BytesFor(chunk.records.size()),
+                       "virtual samples for relation '" + active.name + "'"));
+      virtuals.insert(virtuals.end(), chunk.records.begin(),
+                      chunk.records.end());
     }
     return virtuals;
   }
 
-  /// Phase A, group: merge groups in first-appearance order — a pure
-  /// function of the virtuals and the active relation's weights, so the
-  /// serial and prefetched paths produce identical groups. Thread-safe.
+  /// Merge groups in first-appearance order — the deterministic counterpart
+  /// of the in-RAM unordered_map grouping.
   std::vector<Group> BuildGroups(
       const std::vector<SpillVirtual>& virtuals) const {
     std::vector<Group> groups;
@@ -1084,7 +855,7 @@ struct GenerationPipeline::Impl {
       if (inserted) {
         groups.emplace_back();
         groups.back().fk = v.fk_value;
-        groups.back().key_hash = HashKey(key);
+        groups.back().key_hash = Fnv1aHash(key);
       }
       Group& g = groups[it->second];
       g.members.emplace_back(v.sample, v.fraction);
@@ -1093,177 +864,51 @@ struct GenerationPipeline::Impl {
     return groups;
   }
 
-  void ClearWindow() {
-    if (window.reserved > 0) budget.Release(window.reserved);
-    window = CommitWindow{};
-  }
-
-  /// On-disk virtual-chunk bytes of one non-root partition, from the spill
-  /// manifest (stat-level, no reads). Callers scale this into a resident
-  /// estimate: on-disk bytes are >= 16 per record while phase-A state is
-  /// <= ~120 per record (transient chunk + virtuals vector + group table),
-  /// so x8 covers gather+group and x12 additionally covers a prepared
-  /// phase-B plan (rows + emission lists replace the group table). Returns
-  /// -1 when a chunk is missing from the manifest (the window skips it).
-  int64_t PartitionDiskBytes(size_t part) const {
-    const auto& rs = state.relations[rel_index.at(active.name)];
-    int64_t disk_bytes = 0;
-    for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
-      const std::string name = VirtChunkName(active.name, part, seq);
-      bool found = false;
-      for (const auto& f : state.manifest) {
-        if (f.name == name) {
-          disk_bytes += static_cast<int64_t>(f.bytes);
-          found = true;
-          break;
-        }
-      }
-      if (!found) return -1;
+  Status ExecPartition(size_t rel_i, size_t part) {
+    obs::TraceSpan span("generate/pipeline/partition");
+    SAM_RETURN_NOT_OK(ActivateRelation(rel_i));
+    ScopedReservation virt_res(&budget);
+    ScopedReservation group_res(&budget);
+    std::vector<Group> groups;
+    {
+      SAM_ASSIGN_OR_RETURN(std::vector<SpillVirtual> virtuals,
+                           GatherVirtuals(part, &virt_res));
+      // ~96 bytes of group state per virtual (key strings + member slots),
+      // reserved up front so a pathological partition fails cleanly instead
+      // of OOMing.
+      SAM_RETURN_NOT_OK(group_res.Acquire(
+          static_cast<int64_t>(virtuals.size()) * 96,
+          "merge-group table for relation '" + active.name + "' partition " +
+              std::to_string(part)));
+      groups = BuildGroups(virtuals);
     }
-    return disk_bytes;
-  }
 
-  /// Builds a window of upcoming partitions of the active relation starting
-  /// at `first`, on `pool`: phase A (gather + group) always, plus the full
-  /// phase-B plan for keyed relations when parallel commits are enabled.
-  /// The whole window's estimated memory is reserved before dispatch; when
-  /// the cap is too tight (or estimates are unavailable) the window shrinks
-  /// and ultimately the step falls back to the fully serial path, whose
-  /// incremental accounting and error messages are unchanged.
-  Status BuildWindow(size_t rel_i, size_t first) {
-    ClearWindow();
-    if (partitions <= 1) return Status::OK();
-    const bool plan_b = active.keyed && ParallelCommitEnabled();
-    // Without prepared plans this is the phase-A prefetch of old, still
-    // gated on partition_threads alone.
-    if (!plan_b && opts.partition_threads == 1) return Status::OK();
-    size_t win = std::min(partitions - first, Pool()->num_threads() * 2);
-    if (win <= 1) return Status::OK();
-
-    // Phase B makes its own incremental reservations (row buffers, virtual
-    // buffers) that must keep succeeding while the window is held, so only
-    // build a window when it leaves at least a quarter of the cap free —
-    // a run that fits serially must never fail because of the window.
-    auto fits_with_headroom = [&](int64_t bytes) {
-      return budget.cap() <= 0 ||
-             budget.reserved() + bytes <= budget.cap() - budget.cap() / 4;
-    };
-
-    int64_t estimate = 0;
-    if (active.name == schema().root()) {
-      // All partitions together hold every positively-weighted sample once,
-      // so one count bounds any window of them.
-      int64_t positive = 0;
-      for (uint64_t s = 0; s < k; ++s) {
-        if (active.w[s] > 0.0) positive++;
-      }
-      estimate =
-          positive * (static_cast<int64_t>(sizeof(SpillVirtual)) + 96 + 24);
-      // A prepared plan adds rendered rows + emission lists, roughly one
-      // row/emission slot per positive sample.
-      if (plan_b) estimate += positive * 96;
-      if (!fits_with_headroom(estimate) ||
-          !budget.Reserve(estimate, "partition commit window").ok()) {
-        return Status::OK();  // Tight cap: stay serial.
-      }
+    Rng rng(DeriveSeed(state.base_seed, "decode|" + active.name + "|part|" +
+                                            std::to_string(part)));
+    if (active.keyed) {
+      SAM_RETURN_NOT_OK(ExecKeyedPartition(part, groups, &rng));
     } else {
-      const int64_t scale = plan_b ? 12 : 8;
-      std::vector<int64_t> per_part(win, 0);
-      for (size_t i = 0; i < win; ++i) {
-        const int64_t disk = PartitionDiskBytes(first + i);
-        if (disk < 0) {
-          win = i;
-          break;
-        }
-        per_part[i] = disk * scale;
-      }
-      while (win > 1) {
-        estimate = 0;
-        for (size_t i = 0; i < win; ++i) estimate += per_part[i];
-        if (fits_with_headroom(estimate) &&
-            budget.Reserve(estimate, "partition commit window").ok()) {
-          break;
-        }
-        win /= 2;  // Tight cap: shrink the window.
-      }
-      if (win <= 1) return Status::OK();
+      SAM_RETURN_NOT_OK(ExecLeafPartition(part, groups, &rng));
     }
-
-    obs::TraceSpan span("generate/pipeline/prefetch");
-    std::vector<Status> worker_status(win, Status::OK());
-    std::vector<PreparedPartition> worker_parts(win);
-    std::vector<std::future<void>> futs;
-    futs.reserve(win);
-    for (size_t i = 0; i < win; ++i) {
-      const size_t part = first + i;
-      futs.push_back(pool->Submit([this, i, part, plan_b, &worker_status,
-                                   &worker_parts] {
-        auto virtuals = GatherVirtuals(part);
-        if (!virtuals.ok()) {
-          worker_status[i] = virtuals.status();
-          return;
-        }
-        std::vector<Group> groups = BuildGroups(virtuals.ValueOrDie());
-        if (plan_b) {
-          worker_status[i] = BuildPartitionPlan(part, groups, &worker_parts[i]);
-        } else {
-          worker_parts[i].groups = std::move(groups);
-        }
-      }));
-    }
-    for (auto& f : futs) f.get();
-    for (const Status& st : worker_status) {
-      if (!st.ok()) {
-        budget.Release(estimate);
-        return st;  // I/O error: the serial path would hit it too.
-      }
-    }
-    window.valid = true;
-    window.rel = rel_i;
-    window.reserved = estimate;
-    for (size_t i = 0; i < win; ++i) {
-      window.parts.emplace(first + i, std::move(worker_parts[i]));
-    }
-    if (obs::MetricsEnabled()) {
-      obs::MetricsRegistry::Global()
-          .GetCounter("sam.generate.partitions_prefetched")
-          ->Add(win);
-      if (plan_b) {
-        obs::MetricsRegistry::Global()
-            .GetGauge("sam.gen.commit_parallelism")
-            ->Set(static_cast<double>(win));
-      }
-    }
-    return Status::OK();
+    SAM_RETURN_NOT_OK(FlushRowChunk(active.name));
+    return FlushAllVirtBuffers();
   }
 
-  /// Moves a prepared partition out of the window. The window reservation
-  /// is only released once every entry is consumed AND the commit of the
-  /// last one has finished (the caller clears at the next step), so live
-  /// window memory always stays accounted.
-  bool TakeWindowEntry(size_t rel_i, size_t part, PreparedPartition* out) {
-    if (!window.valid || window.rel != rel_i) return false;
-    auto it = window.parts.find(part);
-    if (it == window.parts.end()) return false;
-    *out = std::move(it->second);
-    window.parts.erase(it);
-    return true;
-  }
-
-  /// Pass 1 of Group-and-Merge (Alg 3 lines 9-17), shared verbatim by the
-  /// serial commit and the worker-side plan builder: merge within each
-  /// group, invoking `assign(members, fk)` whenever the accumulated scaled
-  /// weight reaches 1, and collecting sub-unit leftovers for the global
-  /// pass 2.
-  template <typename AssignFn>
-  static Status MergeGroups(const std::vector<Group>& groups,
-                            const std::vector<double>& w, AssignFn assign,
-                            LeftoverChunk* leftover_chunk) {
+  /// Pass 1 of Group-and-Merge (Alg 3 lines 9-17): merge within each group,
+  /// assigning a primary key whenever the accumulated scaled weight reaches
+  /// 1, and spill the sub-unit leftovers for the global pass 2 plus the
+  /// group digests its shortfall top-up needs.
+  Status ExecKeyedPartition(size_t part, const std::vector<Group>& groups,
+                            Rng* rng) {
+    auto& rs = RelState(active.name);
+    LeftoverChunk leftover;
+    GroupSummaryChunk summary;
+    summary.groups.reserve(groups.size());
     for (const Group& g : groups) {
       std::vector<LeftoverMember> set_to_merge;
       double weight_sum = 0.0;
       for (const auto& [sample, fraction] : g.members) {
-        double remaining = w[sample] * fraction;
+        double remaining = active.w[sample] * fraction;
         // A single virtual may span several primary keys (scaled weight > 1
         // after filling the current merge set).
         while (remaining > 0.0) {
@@ -1272,7 +917,7 @@ struct GenerationPipeline::Impl {
           weight_sum += take;
           remaining -= take;
           if (weight_sum >= 1.0 - 1e-12) {
-            SAM_RETURN_NOT_OK(assign(set_to_merge, g.fk));
+            SAM_RETURN_NOT_OK(AssignKey(set_to_merge, g.fk, rng, &rs));
             set_to_merge.clear();
             weight_sum = 0.0;
           }
@@ -1283,29 +928,14 @@ struct GenerationPipeline::Impl {
         set.weight = weight_sum;
         set.fk_value = g.fk;
         set.members = std::move(set_to_merge);
-        leftover_chunk->sets.push_back(std::move(set));
+        leftover.sets.push_back(std::move(set));
       }
-    }
-    return Status::OK();
-  }
-
-  /// Group digests for the shortfall top-up: (mass, key hash, representative
-  /// sample), a pure function of pre-assignment state, so pass 2 can derive
-  /// the identical heaviest-group order without the group tables resident.
-  static GroupSummaryChunk BuildSummary(const std::vector<Group>& groups) {
-    GroupSummaryChunk summary;
-    summary.groups.reserve(groups.size());
-    for (const Group& g : groups) {
+      // (mass, key hash, representative sample): a pure function of
+      // pre-assignment state, so pass 2 derives the identical heaviest-group
+      // order without the group tables resident.
       summary.groups.push_back(
           GroupSummary{g.mass, g.key_hash, g.members.front().first, g.fk});
     }
-    return summary;
-  }
-
-  /// Durably spills a partition's pass-1 byproducts (same files whether the
-  /// chunks were built serially or by a window worker).
-  Status SaveLeftoverAndSummary(size_t part, const LeftoverChunk& leftover,
-                                const GroupSummaryChunk& summary) {
     if (!leftover.sets.empty()) {
       const std::string name = LeftoverChunkName(active.name, part);
       SAM_RETURN_NOT_OK(leftover.Save(Path(name)));
@@ -1317,157 +947,6 @@ struct GenerationPipeline::Impl {
       SAM_RETURN_NOT_OK(RecordChunk(name));
     }
     return Status::OK();
-  }
-
-  /// Worker-side phase B for a keyed partition: renders everything its
-  /// commit needs — CSV rows split at the pk field, child-emission lists
-  /// with precomputed key suffixes, leftover and summary chunks — without
-  /// touching any cross-partition state. The worker's Rng is seeded exactly
-  /// like the serial path's and consumed in the same AssignKey order, so
-  /// the decoded bytes are identical. Thread-safe (reads only `active`, the
-  /// weights and the schema).
-  Status BuildPartitionPlan(size_t part, const std::vector<Group>& groups,
-                            PreparedPartition* out) const {
-    Rng rng(DeriveSeed(state.base_seed, "decode|" + active.name + "|part|" +
-                                            std::to_string(part)));
-    auto assign = [&](const std::vector<LeftoverMember>& members, int64_t fk) {
-      if (members.empty()) {
-        return Status::Internal("empty merge set for relation '" +
-                                active.name + "'");
-      }
-      PreparedRow row;
-      RenderPreparedRow(members.front().sample, fk, &rng, &row);
-      for (const auto& m : members) {
-        const double sample_total = active.w[m.sample];
-        const double child_fraction =
-            sample_total > 0.0 ? m.take / sample_total : 0.0;
-        // Zero-mass emissions are no-ops in EmitChildVirtual; dropping them
-        // here keeps the plan (and the commit) byte-identical.
-        if (child_fraction <= 0.0) continue;
-        for (size_t c = 0; c < active.children.size(); ++c) {
-          out->emits.push_back(PreparedEmit{
-              static_cast<uint32_t>(c), m.sample, child_fraction,
-              GroupKeySuffix(m.sample,
-                             active.child_group_cols.at(active.children[c]))});
-          row.emits++;
-        }
-      }
-      out->rows.push_back(std::move(row));
-      return Status::OK();
-    };
-    SAM_RETURN_NOT_OK(MergeGroups(groups, active.w, assign, &out->leftover));
-    out->summary = BuildSummary(groups);
-    out->planned = true;
-    return Status::OK();
-  }
-
-  /// Serially replays a worker-prepared partition against the
-  /// cross-partition state (pk counter, row/virtual buffers, incoming mass),
-  /// one row at a time through the same accounting code as the serial path —
-  /// flush boundaries, chunk sequences and FP accumulation order are
-  /// byte-identical for every thread count.
-  Status CommitPreparedPartition(size_t part, PreparedPartition* prep) {
-    obs::TraceSpan span("generate/pipeline/commit");
-    auto& rs = RelState(active.name);
-    size_t emit_i = 0;
-    for (PreparedRow& row : prep->rows) {
-      const int64_t pk = rs.pk_counter;
-      // For ints Value::ToString() is std::to_string, so one rendering
-      // serves both the CSV splice and the child group-key prefix.
-      const std::string pk_text = Value(pk).ToString();
-      row_buf.csv.append(row.prefix);
-      row_buf.csv.append(pk_text);
-      row_buf.csv.append(row.suffix);
-      SAM_RETURN_NOT_OK(AccountAppendedRow(active.name));
-      for (uint32_t e = 0; e < row.emits; ++e, ++emit_i) {
-        const PreparedEmit& em = prep->emits[emit_i];
-        SAM_RETURN_NOT_OK(
-            EmitChildVirtualKeyed(active.children[em.child], em.sample,
-                                  em.fraction, pk, pk_text + em.key_suffix));
-      }
-      rs.pk_counter++;
-    }
-    return SaveLeftoverAndSummary(part, prep->leftover, prep->summary);
-  }
-
-  Status ExecPartition(size_t rel_i, size_t part) {
-    obs::TraceSpan span("generate/pipeline/partition");
-    SAM_RETURN_NOT_OK(ActivateRelation(rel_i));
-    // The previous window's reservation is held until here so that the last
-    // consumed partition's results stayed accounted through their commit.
-    if (window.valid && window.parts.empty()) ClearWindow();
-
-    PreparedPartition prep;
-    bool from_window = TakeWindowEntry(rel_i, part, &prep);
-    if (!from_window) {
-      SAM_RETURN_NOT_OK(BuildWindow(rel_i, part));
-      from_window = TakeWindowEntry(rel_i, part, &prep);
-    }
-    if (prep.planned) {
-      // Fully prepared keyed partition: in-order serial commit.
-      SAM_RETURN_NOT_OK(CommitPreparedPartition(part, &prep));
-      SAM_RETURN_NOT_OK(FlushRowChunk(active.name));
-      return FlushAllVirtBuffers();
-    }
-
-    Rng rng(DeriveSeed(state.base_seed, "decode|" + active.name + "|part|" +
-                                            std::to_string(part)));
-    std::vector<Group> groups = std::move(prep.groups);
-    ScopedReservation virt_res(&budget);
-    ScopedReservation group_res(&budget);
-    if (!from_window) {
-      // Serial fallback: gather + group under incremental accounting, with
-      // the same failure behaviour as before prefetch existed.
-      std::vector<SpillVirtual> virtuals;
-      if (active.name == schema().root()) {
-        SAM_ASSIGN_OR_RETURN(virtuals, GatherVirtuals(part));
-        SAM_RETURN_NOT_OK(
-            virt_res.Acquire(VirtualChunk::BytesFor(virtuals.size()),
-                             "root virtual samples"));
-      } else {
-        const auto& rs = RelState(active.name);
-        for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
-          const std::string name = VirtChunkName(active.name, part, seq);
-          SAM_ASSIGN_OR_RETURN(VirtualChunk chunk,
-                               VirtualChunk::Load(Path(name)));
-          SAM_RETURN_NOT_OK(
-              virt_res.Acquire(VirtualChunk::BytesFor(chunk.records.size()),
-                               "virtual samples for relation '" + active.name +
-                                   "'"));
-          virtuals.insert(virtuals.end(), chunk.records.begin(),
-                          chunk.records.end());
-        }
-      }
-      // ~96 bytes of group state per virtual (key strings + member slots),
-      // reserved up front so a pathological partition fails cleanly instead
-      // of OOMing.
-      SAM_RETURN_NOT_OK(group_res.Acquire(
-          static_cast<int64_t>(virtuals.size()) * 96,
-          "merge-group table for relation '" + active.name + "' partition " +
-              std::to_string(part)));
-      groups = BuildGroups(virtuals);
-    }
-
-    if (active.keyed) {
-      SAM_RETURN_NOT_OK(ExecKeyedPartition(part, groups, &rng));
-    } else {
-      SAM_RETURN_NOT_OK(ExecLeafPartition(part, groups, &rng));
-    }
-    SAM_RETURN_NOT_OK(FlushRowChunk(active.name));
-    return FlushAllVirtBuffers();
-  }
-
-  Status ExecKeyedPartition(size_t part, const std::vector<Group>& groups,
-                            Rng* rng) {
-    auto& rs = RelState(active.name);
-    LeftoverChunk leftover_chunk;
-    SAM_RETURN_NOT_OK(MergeGroups(
-        groups, active.w,
-        [&](const std::vector<LeftoverMember>& members, int64_t fk) {
-          return AssignKey(members, fk, rng, &rs);
-        },
-        &leftover_chunk));
-    return SaveLeftoverAndSummary(part, leftover_chunk, BuildSummary(groups));
   }
 
   /// Assigns the next primary key to a merge set: emit one row from the

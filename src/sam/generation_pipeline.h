@@ -31,24 +31,9 @@ struct GenerationPipelineOptions {
   uint64_t stop_after_steps = 0;
   /// Checkpoints retained in `work_dir` (0 keeps all).
   size_t checkpoint_keep = 3;
-  /// Worker threads for Group-and-Merge partition prefetch (0 = hardware
-  /// concurrency, 1 = fully serial). Partitions of a relation are gathered
-  /// and grouped in parallel ahead of the serial commit phase; the published
-  /// database is byte-identical for every thread count, and prefetch memory
-  /// is reserved from the memory cap before dispatch (falling back to serial
-  /// execution when the cap is tight).
-  size_t partition_threads = 0;
-  /// Worker threads for the partition *commit* pipeline (0 = inherit
-  /// `partition_threads`, 1 = fully serial commits and no sample
-  /// pipelining). When parallel, a window of upcoming keyed partitions is
-  /// fully prepared on the thread pool — decode, CSV rendering split at the
-  /// primary-key field, child-emission lists, leftover/summary chunks — and
-  /// the results are committed strictly in plan order, so every spill file,
-  /// checkpoint cursor and published byte is identical for every thread
-  /// count. MADE sampling of FOJ batch b+1 likewise overlaps the spill
-  /// write of batch b. Window and speculative-batch memory is reserved from
-  /// the cap before dispatch (serial fallback when tight), and thread
-  /// counts are deliberately excluded from the resume fingerprint.
+  /// Has no effect: generation is serial. Kept only because the benchmark
+  /// harness still assigns it; remove it together with that assignment in a
+  /// benchmark change.
   size_t commit_threads = 0;
   /// Keep spill files and checkpoints after a successful publish (debugging).
   bool keep_work_dir = false;
@@ -82,7 +67,9 @@ struct GenerationRunSummary {
 /// `SamOptions::memory_cap_bytes`: tight caps raise the partition fan-out
 /// and shrink spill buffers (more I/O, same output — the chunk layout is
 /// fixed per configuration), and a cap below the documented per-relation
-/// floor fails with a clean `InvalidArgument` instead of an OOM kill. See
+/// floor fails with a clean `InvalidArgument` instead of an OOM kill. Steps
+/// run one at a time in plan order, so the spill files, checkpoints and
+/// published bytes are a pure function of the model and the options. See
 /// docs/GENERATION.md.
 ///
 /// The pipeline's output row *order* differs from `SamModel::Generate` (rows

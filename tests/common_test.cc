@@ -3,11 +3,17 @@
 #include <cmath>
 #include <set>
 
+#include "ar/dps_trainer.h"
+#include "ar/estimator.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "datasets/datasets.h"
+#include "sam/generation_pipeline.h"
+#include "sam/sam_model.h"
 
 namespace sam {
 namespace {
@@ -212,6 +218,61 @@ TEST(ThreadPoolTest, SubmitRunsTask) {
   std::atomic<bool> ran{false};
   pool.Submit([&] { ran = true; }).get();
   EXPECT_TRUE(ran.load());
+}
+
+// Known answers for the shared hash and mixer. The fingerprint and stream-key
+// values pin the training, estimator and pipeline fingerprints bit for bit,
+// and with them checkpoint compatibility and every derived RNG stream.
+
+TEST(HashTest, Fnv1aUsesTheRepoOffsetBasis) {
+  EXPECT_EQ(Fnv1aHash(""), 0x14650fb0739d0383ull);
+  EXPECT_EQ(Fnv1aHash("a"), 0x44bd8ad473cd9906ull);
+  // MixString length-prefixes; Mix does not.
+  EXPECT_NE(Fnv1a().MixString("ab").MixString("c").hash(),
+            Fnv1a().MixString("a").MixString("bc").hash());
+  EXPECT_EQ(Fnv1a().Mix("abc", 3).hash(), Fnv1aHash("abc"));
+}
+
+TEST(HashTest, Mix64KnownAnswer) {
+  EXPECT_EQ(Mix64(0), 0xe220a8397b1dcdafull);
+}
+
+TEST(HashTest, ProgressiveStreamKeyKnownAnswer) {
+  CompiledQuery cq;
+  cq.allow = {{}, {1, 0, 1}, {0, 1}};
+  cq.scale_fanout = {0, 1, 0};
+  EXPECT_EQ(ProgressiveStreamKey(cq), 0xb08b4bdfba1259b6ull);
+}
+
+TEST(HashTest, TrainingAndPipelineFingerprintsKnownAnswer) {
+  const Database db = MakeChainDatabase();
+  Workload w;
+  Query q1;
+  q1.relations = {"A"};
+  q1.predicates = {
+      Predicate{"A", "a", PredOp::kEq, Value(std::string("m")), {}}};
+  q1.cardinality = 1;
+  w.push_back(q1);
+  Query q2;
+  q2.relations = {"A", "B"};
+  q2.predicates = {
+      Predicate{"B", "b", PredOp::kEq, Value(std::string("p")), {}}};
+  q2.cardinality = 2;
+  w.push_back(q2);
+  SamOptions options;
+  options.foj_samples = 64;
+  options.model.hidden_sizes = {8};
+  auto sam = SamModel::Create(db, w, SchemaHints{}, 4, options);
+  ASSERT_TRUE(sam.ok()) << sam.status().ToString();
+
+  EXPECT_EQ(TrainingFingerprint(options.training, *sam.ValueOrDie()->model(),
+                                w),
+            0x24df85a16d13f8ccull);
+  GenerationPipelineOptions popts;
+  popts.out_dir = "unused_out";
+  popts.work_dir = "unused_work";
+  GenerationPipeline pipeline(sam.ValueOrDie().get(), popts);
+  EXPECT_EQ(pipeline.Fingerprint(), 0x892b9afd84a9106bull);
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,7 +85,7 @@ class Flags {
   }
 
   std::string Get(const std::string& key, const std::string& fallback = "") const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     return it == values_.end() ? fallback : it->second;
   }
 
@@ -92,7 +93,7 @@ class Flags {
   /// overflow) fail with an InvalidArgument naming the flag instead of being
   /// silently truncated to whatever strtoll made of the prefix.
   Result<int64_t> GetInt(const std::string& key, int64_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     if (it == values_.end()) return fallback;
     auto v = ParseInt64(it->second);
     if (!v.ok()) {
@@ -102,7 +103,7 @@ class Flags {
   }
 
   Result<double> GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = Find(key);
     if (it == values_.end()) return fallback;
     auto v = ParseFloat64(it->second);
     if (!v.ok()) {
@@ -115,10 +116,26 @@ class Flags {
     return Get(key) == "true" || Get(key) == "1";
   }
 
-  bool Has(const std::string& key) const { return values_.count(key) != 0; }
+  bool Has(const std::string& key) const { return Find(key) != values_.end(); }
+
+  /// Flags given on the command line that no accessor ever asked for.
+  std::vector<std::string> Unread() const {
+    std::vector<std::string> out;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) out.push_back(key);
+    }
+    return out;
+  }
 
  private:
+  std::map<std::string, std::string>::const_iterator Find(
+      const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 int Fail(const std::string& msg) {
@@ -427,17 +444,6 @@ int CmdGenerate(const Flags& flags) {
   SAM_CLI_ASSIGN(options.generation_checkpoint_every,
                  flags.GetInt("checkpoint-every",
                               options.generation_checkpoint_every));
-  int64_t partition_threads = 0;
-  SAM_CLI_ASSIGN(partition_threads, flags.GetInt("partition-threads", 0));
-  if (partition_threads < 0) {
-    return Fail("generate: --partition-threads must be >= 0");
-  }
-  int64_t commit_threads = 0;
-  SAM_CLI_ASSIGN(commit_threads,
-                 flags.GetInt("commit-threads", partition_threads));
-  if (commit_threads < 0) {
-    return Fail("generate: --commit-threads must be >= 0");
-  }
 
   auto inputs = LoadPipelineInputs(flags);
   if (!inputs.ok()) return FailStatus(inputs.status());
@@ -484,8 +490,6 @@ int CmdGenerate(const Flags& flags) {
   SAM_CLI_ASSIGN(ckpt_keep, flags.GetInt("checkpoint-keep", 3));
   popts.stop_after_steps = static_cast<uint64_t>(stop_after_steps);
   popts.checkpoint_keep = static_cast<size_t>(ckpt_keep);
-  popts.partition_threads = static_cast<size_t>(partition_threads);
-  popts.commit_threads = static_cast<size_t>(commit_threads);
   popts.keep_work_dir = flags.GetBool("keep-work");
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
@@ -837,16 +841,11 @@ int Usage() {
       "            [--checkpoint-dir=DIR] [--checkpoint-every=N]\n"
       "            [--checkpoint-keep=N] [--resume] [--memory-cap=MiB]\n"
       "            [--stop-after-steps=N] [--keep-work]\n"
-      "            [--partition-threads=N] [--commit-threads=N]\n"
       "            Any of the bracketed crash-safety flags selects the\n"
       "            out-of-core pipeline: spill files + checkpoints live in\n"
       "            --checkpoint-dir (default OUT.work), SIGINT/SIGTERM\n"
       "            checkpoint and exit 0, and --resume continues to a\n"
       "            byte-identical database (see docs/GENERATION.md).\n"
-      "            --partition-threads parallelises partition prefetch and\n"
-      "            --commit-threads the commit pipeline (0 = hardware, 1 =\n"
-      "            serial; commit-threads defaults to partition-threads).\n"
-      "            Output bytes are identical for every thread count.\n"
       "  evaluate  --original=DIR --generated=DIR --workload=FILE [--latency]\n"
       "  estimate  --db=DIR --workload=FILE --hints=... --model=FILE [--verbose]\n"
       "  serve     --db=DIR --workload=FILE --hints=... --model=FILE\n"
@@ -912,6 +911,12 @@ int Main(int argc, char** argv) {
   if (!metrics_out.empty()) obs::EnableMetrics(true);
 
   int rc = Dispatch(cmd, flags);
+  if (rc == 0) {
+    for (const std::string& key : flags.Unread()) {
+      std::fprintf(stderr, "warning: unknown flag --%s (ignored)\n",
+                   key.c_str());
+    }
+  }
 
   // Flush observability output even when the command failed: a partial trace
   // is exactly what is needed to debug the failure.

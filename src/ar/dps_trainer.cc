@@ -186,6 +186,20 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
   std::vector<size_t> order(train.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  // Fanout scaling multiplies a row's estimate by 1/F of the sampled value
+  // (log-space: -log F); the row of -log F per domain value is fixed per
+  // fanout column.
+  std::vector<std::vector<double>> neg_log_fanout(n_cols);
+  for (size_t col = 0; col < n_cols; ++col) {
+    const ModelColumn& mc = schema.columns()[col];
+    if (mc.kind != ModelColumnKind::kFanout) continue;
+    neg_log_fanout[col].resize(mc.domain_size);
+    for (size_t j = 0; j < mc.domain_size; ++j) {
+      neg_log_fanout[col][j] = -std::log(
+          static_cast<double>(mc.FanoutValueOf(static_cast<int32_t>(j))));
+    }
+  }
+
   // ---- Checkpoint/restore ---------------------------------------------------
   const bool checkpointing = !options.checkpoint_dir.empty();
   const uint64_t fingerprint =
@@ -315,6 +329,7 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
     return stats;
   }
 
+  adam.ZeroGrad();
   bool out_of_budget = false;
   bool stop_requested = false;
   for (size_t epoch = start_epoch;
@@ -373,62 +388,72 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
       for (size_t r = 0; r < batch; ++r) row_query[r] = r / options.sample_paths;
 
       // ---- Forward: progressive sampling with straight-through samples.
-      const MadeModel::MaskedWeights mw = model->BuildMaskedWeights();
-      Tensor input = Tensor::Zeros(batch, schema.total_domain());
-      Matrix log_est_init(batch, 1, log_total);
-      Tensor log_est = Tensor::Constant(std::move(log_est_init));
+      // Each sampled column feeds the incremental tape state: its first-layer
+      // and direct-connection contributions are one product with that
+      // column's weight rows.
+      Tensor loss;
+      {
+        obs::TraceSpan forward_span("train/forward");
+        const MadeModel::MaskedWeights mw = model->BuildMaskedWeights();
+        MadeModel::TapeState state = model->InitTape(batch);
+        Matrix log_est_init(batch, 1, log_total);
+        Tensor log_est = Tensor::Constant(std::move(log_est_init));
 
-      for (size_t col = 0; col < n_cols; ++col) {
-        const ModelColumn& mc = schema.columns()[col];
-        Tensor hidden = model->Hidden(mw, input);
-        Tensor logits = model->ColumnLogits(mw, hidden, input, col);
-        const ColumnMasks masks =
-            BuildColumnMasks(queries, row_query, col, mc.domain_size);
+        for (size_t col = 0; col < n_cols; ++col) {
+          const ModelColumn& mc = schema.columns()[col];
+          Tensor logits = model->TapeLogits(mw, state, col);
+          const ColumnMasks masks =
+              BuildColumnMasks(queries, row_query, col, mc.domain_size);
 
-        Tensor masked_logits = logits;
-        if (masks.constrained) {
-          // In-range probability contributes to the cardinality estimate.
-          Tensor probs = ad::Softmax(logits);
-          Tensor p_in = ad::RowSum(ad::Mul(probs, Tensor::Constant(masks.allow)));
-          log_est = ad::Add(log_est, ad::LogEps(p_in, 1e-20));
-          masked_logits = ad::Add(logits, Tensor::Constant(masks.log_mask));
-        }
-        Tensor sample = ad::GumbelSoftmaxST(masked_logits, tau, &rng);
+          Tensor masked_logits = logits;
+          if (masks.constrained) {
+            // In-range probability contributes to the cardinality estimate.
+            Tensor probs = ad::Softmax(logits);
+            Tensor p_in = ad::RowSum(ad::Mul(probs, Tensor::Constant(masks.allow)));
+            log_est = ad::Add(log_est, ad::LogEps(p_in, 1e-20));
+            masked_logits = ad::Add(logits, Tensor::Constant(masks.log_mask));
+          }
+          Tensor sample = ad::GumbelSoftmaxST(masked_logits, tau, &rng);
 
-        if (mc.kind == ModelColumnKind::kFanout) {
-          // Fanout scaling: rows whose query excludes this relation multiply
-          // the estimate by 1/F (log-space: -log F of the sampled value).
-          Matrix neg_log_f(batch, mc.domain_size, 0.0);
-          bool any = false;
-          for (size_t r = 0; r < batch; ++r) {
-            if (!queries[row_query[r]]->scale_fanout[col]) continue;
-            any = true;
-            for (size_t j = 0; j < mc.domain_size; ++j) {
-              neg_log_f(r, j) =
-                  -std::log(static_cast<double>(mc.FanoutValueOf(
-                      static_cast<int32_t>(j))));
+          if (mc.kind == ModelColumnKind::kFanout) {
+            // Rows whose query excludes this relation scale by 1/F.
+            Matrix neg_log_f(batch, mc.domain_size, 0.0);
+            bool any = false;
+            for (size_t r = 0; r < batch; ++r) {
+              if (!queries[row_query[r]]->scale_fanout[col]) continue;
+              any = true;
+              std::copy(neg_log_fanout[col].begin(), neg_log_fanout[col].end(),
+                        neg_log_f.row(r));
+            }
+            if (any) {
+              Tensor contrib =
+                  ad::RowSum(ad::Mul(sample, Tensor::Constant(std::move(neg_log_f))));
+              log_est = ad::Add(log_est, contrib);
             }
           }
-          if (any) {
-            Tensor contrib =
-                ad::RowSum(ad::Mul(sample, Tensor::Constant(std::move(neg_log_f))));
-            log_est = ad::Add(log_est, contrib);
-          }
+          model->TapeObserve(mw, &state, col, sample);
         }
-        input = ad::Add(input, ad::PadColumns(sample, mc.offset, schema.total_domain()));
+
+        // ---- Loss: mean squared log-cardinality error.
+        Matrix target(batch, 1);
+        for (size_t r = 0; r < batch; ++r) {
+          target(r, 0) = queries[row_query[r]]->log_card;
+        }
+        Tensor diff = ad::Sub(log_est, Tensor::Constant(std::move(target)));
+        loss = ad::MeanAll(ad::Mul(diff, diff));
       }
 
-      // ---- Loss: mean squared log-cardinality error.
-      Matrix target(batch, 1);
-      for (size_t r = 0; r < batch; ++r) {
-        target(r, 0) = queries[row_query[r]]->log_card;
+      {
+        obs::TraceSpan backward_span("train/backward");
+        loss.Backward();
       }
-      Tensor diff = ad::Sub(log_est, Tensor::Constant(std::move(target)));
-      Tensor loss = ad::MeanAll(ad::Mul(diff, diff));
-
-      adam.ZeroGrad();
-      loss.Backward();
-      adam.Step();
+      {
+        // Gradients are zeroed right after they are applied (and once before
+        // the first step), so every Backward starts from zero.
+        obs::TraceSpan adam_span("train/adam");
+        adam.Step();
+        adam.ZeroGrad();
+      }
 
       epoch_loss_sum += loss.value()(0, 0);
       ++epoch_loss_count;

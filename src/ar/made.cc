@@ -152,15 +152,16 @@ MadeModel::MaskedWeights MadeModel::BuildMaskedWeights() const {
   return mw;
 }
 
-Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input) const {
-  Tensor h = input;
-  for (size_t l = 0; l < mw.w.size(); ++l) {
+Tensor MadeModel::HiddenStack(const MaskedWeights& mw,
+                              const Tensor& pre1) const {
+  Tensor h = ad::BiasRelu(pre1, biases_[0]);
+  for (size_t l = 1; l < mw.w.size(); ++l) {
     Tensor pre = ad::Matmul(h, mw.w[l]);
     // Residual connections between equal-width hidden layers (ResMADE). The
     // hidden-degree assignment is identical across layers, so the skip path
     // preserves the autoregressive masking. The fused op does
     // relu(pre + bias) (+ skip) in one pass over the activations.
-    if (options_.residual && l > 0 && pre.cols() == h.cols()) {
+    if (options_.residual && pre.cols() == h.cols()) {
       h = ad::BiasReluSkip(pre, biases_[l], h);
     } else {
       h = ad::BiasRelu(pre, biases_[l]);
@@ -169,18 +170,76 @@ Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input) const {
   return h;
 }
 
-Tensor MadeModel::ColumnLogits(const MaskedWeights& mw, const Tensor& hidden,
-                               const Tensor& input, size_t col) const {
+Tensor MadeModel::OutputLogits(const MaskedWeights& mw, const Tensor& hidden,
+                               size_t col) const {
   const ModelColumn& c = schema_->columns()[col];
   const size_t b = c.offset;
   const size_t e = c.offset + c.domain_size;
-  Tensor logits = ad::AddRowBroadcast(
+  return ad::AddRowBroadcast(
       ad::Matmul(hidden, ad::SliceColumns(mw.w_out, b, e)),
       ad::SliceColumns(b_out_, b, e));
+}
+
+Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input) const {
+  return HiddenStack(mw, ad::Matmul(input, mw.w[0]));
+}
+
+Tensor MadeModel::ColumnLogits(const MaskedWeights& mw, const Tensor& hidden,
+                               const Tensor& input, size_t col) const {
+  Tensor logits = OutputLogits(mw, hidden, col);
   if (options_.direct_connections) {
-    logits = ad::Add(logits, ad::Matmul(input, ad::SliceColumns(mw.w_direct, b, e)));
+    const ModelColumn& c = schema_->columns()[col];
+    logits = ad::Add(logits, ad::Matmul(input, ad::SliceColumns(
+                                                   mw.w_direct, c.offset,
+                                                   c.offset + c.domain_size)));
   }
   return logits;
+}
+
+MadeModel::TapeState MadeModel::InitTape(size_t batch) const {
+  TapeState state;
+  state.pre1 = Tensor::Zeros(batch, options_.hidden_sizes[0]);
+  if (options_.direct_connections) {
+    for (const ModelColumn& c : schema_->columns()) {
+      state.direct.push_back(Tensor::Zeros(batch, c.domain_size));
+    }
+  }
+  return state;
+}
+
+Tensor MadeModel::TapeLogits(const MaskedWeights& mw, const TapeState& state,
+                             size_t col) const {
+  Tensor logits = OutputLogits(mw, HiddenStack(mw, state.pre1), col);
+  if (options_.direct_connections) {
+    logits = ad::Add(logits, state.direct[col]);
+  }
+  return logits;
+}
+
+void MadeModel::TapeObserve(const MaskedWeights& mw, TapeState* state,
+                            size_t col, const Tensor& sample) const {
+  const auto& cols = schema_->columns();
+  const ModelColumn& c = cols[col];
+  SAM_CHECK_EQ(sample.cols(), c.domain_size);
+  if (col + 1 >= cols.size()) return;  // No later column reads it.
+  const size_t b = c.offset;
+  const size_t e = c.offset + c.domain_size;
+  state->pre1 =
+      ad::Add(state->pre1, ad::Matmul(sample, ad::SliceRows(mw.w[0], b, e)));
+  if (options_.direct_connections) {
+    // One product over every later column's block (columns are laid out in
+    // model order, so they are exactly [e, total_domain)); each later column
+    // takes its slice.
+    const Tensor direct = ad::Matmul(
+        sample, ad::SliceColumns(ad::SliceRows(mw.w_direct, b, e), e,
+                                 schema_->total_domain()));
+    for (size_t later = col + 1; later < cols.size(); ++later) {
+      const size_t lb = cols[later].offset - e;
+      state->direct[later] = ad::Add(
+          state->direct[later],
+          ad::SliceColumns(direct, lb, lb + cols[later].domain_size));
+    }
+  }
 }
 
 void MadeModel::SyncSamplerWeights() {

@@ -19,12 +19,18 @@ namespace sam {
 /// property, so column i's logits depend only on columns < i (Germain et al.,
 /// cited by the paper as a SAM instantiation).
 ///
-/// Two forward paths are provided:
-///  * a tape-recorded dense path (`MaskedWeights` + `Hidden` + `ColumnLogits`)
-///    used by the DPS trainer, and
+/// Three forward paths are provided:
+///  * a tape-recorded incremental path (`MaskedWeights` + `InitTape`/
+///    `TapeLogits`/`TapeObserve`) used by the DPS trainer: each sampled
+///    column adds its own first-layer and direct-connection contributions,
+///    so the tape never holds a full one-hot input;
+///  * a tape-recorded dense reference path (`Hidden` + `ColumnLogits`) over a
+///    full B x total_domain input, which tests compare the incremental path
+///    against (equal forward values bit for bit), and
 ///  * an allocation-light sampler path (`InitState`/`CondProbs`/`Observe`)
 ///    that exploits one-hot inputs (first layer and direct connections become
 ///    row gathers) for progressive sampling, estimation and generation.
+/// The two tape paths share one hidden stack and output layer.
 class MadeModel {
  public:
   struct Options {
@@ -49,7 +55,7 @@ class MadeModel {
   /// Number of scalar parameters (reported by the harnesses).
   size_t num_parameters() const;
 
-  // --- Dense (training) path -------------------------------------------------
+  // --- Tape (training) paths -------------------------------------------------
 
   /// Masked weight tensors for one training step; build once per step and
   /// reuse so gradients accumulate across the per-column passes.
@@ -60,11 +66,36 @@ class MadeModel {
   };
   MaskedWeights BuildMaskedWeights() const;
 
-  /// Last hidden activations for `input` (B x total_domain).
+  /// Per-batch incremental state of the trainer's forward, the tape-recorded
+  /// twin of `SamplerState`. Both accumulators start from zeros and each
+  /// observed column adds one product, so every value sums the same weights
+  /// in the same column order as the zero-skip matmul of the dense path.
+  struct TapeState {
+    ad::Tensor pre1;  ///< B x H1 first-layer pre-activation (bias excluded).
+    /// Per column: B x domain(col) direct-connection logits of the columns
+    /// observed so far (empty when direct connections are off).
+    std::vector<ad::Tensor> direct;
+  };
+
+  TapeState InitTape(size_t batch) const;
+
+  /// Logits of model column `col` (B x domain(col)) given the columns
+  /// observed so far in `state`.
+  ad::Tensor TapeLogits(const MaskedWeights& mw, const TapeState& state,
+                        size_t col) const;
+
+  /// Feeds column `col`'s one-hot `sample` (B x domain(col)) into the state:
+  /// one product with the column's rows of the first layer, one with its rows
+  /// of the direct connections into every later column. The last column
+  /// feeds nothing.
+  void TapeObserve(const MaskedWeights& mw, TapeState* state, size_t col,
+                   const ad::Tensor& sample) const;
+
+  /// Dense reference: last hidden activations for `input` (B x total_domain).
   ad::Tensor Hidden(const MaskedWeights& mw, const ad::Tensor& input) const;
 
-  /// Logits of model column `col` (B x domain(col)) given the last hidden
-  /// layer and the (same) input used for direct connections.
+  /// Dense reference: logits of model column `col` (B x domain(col)) given
+  /// the last hidden layer and the (same) input used for direct connections.
   ad::Tensor ColumnLogits(const MaskedWeights& mw, const ad::Tensor& hidden,
                           const ad::Tensor& input, size_t col) const;
 
@@ -118,6 +149,14 @@ class MadeModel {
  private:
   void BuildMasks();
   void InitParams();
+
+  /// Hidden stack above the first layer's pre-activation `pre1` (B x H1,
+  /// bias excluded); shared by both tape paths.
+  ad::Tensor HiddenStack(const MaskedWeights& mw, const ad::Tensor& pre1) const;
+
+  /// Output-layer logits of column `col` without direct connections.
+  ad::Tensor OutputLogits(const MaskedWeights& mw, const ad::Tensor& hidden,
+                          size_t col) const;
 
   const ModelSchema* schema_;
   Options options_;

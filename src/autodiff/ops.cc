@@ -368,28 +368,6 @@ Tensor SliceRows(const Tensor& a, size_t begin, size_t end) {
                 "slice_rows");
 }
 
-Tensor PadColumns(const Tensor& a, size_t offset, size_t total) {
-  SAM_CHECK_LE(offset + a.cols(), total);
-  Matrix v(a.rows(), total);
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const double* src = a.value().row(r);
-    std::copy(src, src + a.cols(), v.row(r) + offset);
-  }
-  const size_t width = a.cols();
-  return MakeOp(std::move(v), {a},
-                [offset, width](TensorNode& n) {
-                  TensorNode* an = n.parents[0].get();
-                  if (!an->requires_grad) return;
-                  an->EnsureGrad();
-                  for (size_t r = 0; r < n.grad.rows(); ++r) {
-                    const double* g = n.grad.row(r) + offset;
-                    double* dst = an->grad.row(r);
-                    for (size_t c = 0; c < width; ++c) dst[c] += g[c];
-                  }
-                },
-                "pad_cols");
-}
-
 Tensor GumbelSoftmaxST(const Tensor& logits, double tau, Rng* rng) {
   const size_t b = logits.rows();
   const size_t d = logits.cols();

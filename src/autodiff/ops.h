@@ -57,10 +57,6 @@ Tensor SliceColumns(const Tensor& a, size_t begin, size_t end);
 /// Rows [begin, end) of `a`.
 Tensor SliceRows(const Tensor& a, size_t begin, size_t end);
 
-/// Places the B x D block `a` at column `offset` of a B x `total` tensor of
-/// zeros. The building block for progressively composing MADE inputs.
-Tensor PadColumns(const Tensor& a, size_t offset, size_t total);
-
 /// \brief Straight-through Gumbel-Softmax sample (one sample per row).
 ///
 /// `logits` are *masked* log-probabilities (out-of-range entries at a large

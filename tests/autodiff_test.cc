@@ -89,12 +89,11 @@ TEST(OpsGradTest, RowSumAndScale) {
   });
 }
 
-TEST(OpsGradTest, SliceAndPad) {
+TEST(OpsGradTest, SliceColumns) {
   Tensor a = Tensor::Param(Make(2, 4, {1, 2, 3, 4, 5, 6, 7, 8}));
   CheckGradients(a, [&](const Tensor& p) {
     Tensor s = SliceColumns(p, 1, 3);
-    Tensor padded = PadColumns(s, 2, 6);
-    return SumAll(Mul(padded, padded));
+    return SumAll(Mul(s, s));
   });
 }
 

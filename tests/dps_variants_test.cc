@@ -1,7 +1,11 @@
-// Tests for the optional training/model variants: ResMADE residual
-// connections, Gumbel temperature annealing, and learning-rate decay.
+// Tests for the optional training/model variants (ResMADE residual
+// connections, Gumbel temperature annealing, learning-rate decay) and for the
+// trainer's incremental tape state against the dense reference forward.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "ar/dps_trainer.h"
 #include "common/logging.h"
@@ -87,6 +91,133 @@ TEST(ResMadeTest, DensePathMatchesSamplerPathWithResiduals) {
   for (size_t j = 0; j < fast.cols(); ++j) {
     EXPECT_NEAR(dense.value()(0, j), fast(0, j), 1e-10);
   }
+}
+
+// Feeds fixed one-hot samples through the trainer's incremental tape state
+// and through the dense reference (a full one-hot input per column). The
+// per-column logits must be bit-identical; parameter gradients of a
+// squared-sum loss over all logits may differ only in summation order.
+void ExpectTapeMatchesDense(const ModelSchema& schema,
+                            const MadeModel::Options& opts) {
+  SCOPED_TRACE(::testing::Message() << "residual=" << opts.residual
+                                    << " direct=" << opts.direct_connections);
+  MadeModel model(&schema, opts);
+  const size_t batch = 9;
+  const size_t n = schema.num_columns();
+  Rng rng(opts.seed + 101);
+  std::vector<Matrix> samples;
+  for (const ModelColumn& c : schema.columns()) {
+    Matrix m(batch, c.domain_size);
+    for (size_t r = 0; r < batch; ++r) {
+      m(r, static_cast<size_t>(rng.UniformInt(0, c.domain_size - 1))) = 1.0;
+    }
+    samples.push_back(std::move(m));
+  }
+  auto grads_of = [&](const std::vector<ad::Tensor>& logits) {
+    ad::Tensor loss = ad::SumAll(ad::Mul(logits[0], logits[0]));
+    for (size_t col = 1; col < n; ++col) {
+      loss = ad::Add(loss, ad::SumAll(ad::Mul(logits[col], logits[col])));
+    }
+    for (ad::Tensor p : model.params()) p.ZeroGrad();
+    loss.Backward();
+    std::vector<Matrix> grads;
+    for (const ad::Tensor& p : model.params()) grads.push_back(p.grad());
+    return grads;
+  };
+
+  // Masked weights are built per path: Backward accumulates into them too.
+  std::vector<ad::Tensor> tape_logits;
+  {
+    const auto mw = model.BuildMaskedWeights();
+    MadeModel::TapeState state = model.InitTape(batch);
+    for (size_t col = 0; col < n; ++col) {
+      tape_logits.push_back(model.TapeLogits(mw, state, col));
+      model.TapeObserve(mw, &state, col, ad::Tensor::Constant(samples[col]));
+    }
+  }
+  const std::vector<Matrix> tape_grads = grads_of(tape_logits);
+
+  std::vector<ad::Tensor> dense_logits;
+  {
+    const auto mw = model.BuildMaskedWeights();
+    Matrix input(batch, schema.total_domain());
+    for (size_t col = 0; col < n; ++col) {
+      const ad::Tensor in = ad::Tensor::Constant(input);
+      dense_logits.push_back(
+          model.ColumnLogits(mw, model.Hidden(mw, in), in, col));
+      const size_t off = schema.columns()[col].offset;
+      for (size_t r = 0; r < batch; ++r) {
+        for (size_t j = 0; j < samples[col].cols(); ++j) {
+          input(r, off + j) = samples[col](r, j);
+        }
+      }
+    }
+  }
+  const std::vector<Matrix> dense_grads = grads_of(dense_logits);
+
+  for (size_t col = 0; col < n; ++col) {
+    const Matrix& a = tape_logits[col].value();
+    const Matrix& b = dense_logits[col].value();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a.data()[i], b.data()[i]) << "column " << col << " entry " << i;
+    }
+  }
+  ASSERT_EQ(tape_grads.size(), dense_grads.size());
+  for (size_t k = 0; k < tape_grads.size(); ++k) {
+    const Matrix& a = tape_grads[k];
+    const Matrix& b = dense_grads[k];
+    ASSERT_EQ(a.size(), b.size()) << "parameter " << k;
+    // Relative to the tensor's largest gradient: entries that cancel to ~0
+    // have no meaningful element-wise relative error.
+    double scale = 0;
+    for (size_t i = 0; i < b.size(); ++i) {
+      scale = std::max(scale, std::fabs(b.data()[i]));
+    }
+    ASSERT_GT(scale, 0.0) << "parameter " << k << " got no gradient";
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_LE(std::fabs(a.data()[i] - b.data()[i]), 1e-12 * scale)
+          << "parameter " << k << " entry " << i;
+    }
+  }
+}
+
+TEST(TapeStateTest, MatchesDenseReferenceOnCensus) {
+  Env s = MakeEnv();
+  for (const bool residual : {false, true}) {
+    for (const bool direct : {true, false}) {
+      MadeModel::Options opts;
+      opts.hidden_sizes = {16, 16, 16};
+      opts.residual = residual;
+      opts.direct_connections = direct;
+      opts.seed = 11;
+      ExpectTapeMatchesDense(s.schema, opts);
+    }
+  }
+}
+
+TEST(TapeStateTest, MatchesDenseReferenceOnImdbWithFanoutAndIndicators) {
+  Database db = MakeImdbLike(120, 4);
+  auto exec = Executor::Create(&db).MoveValue();
+  MultiRelationWorkloadOptions wopts;
+  wopts.num_queries = 30;
+  Workload train = GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
+  SchemaHints hints;
+  hints.fanout_cap = 8;
+  const ModelSchema schema =
+      ModelSchema::Build(db, train, hints, exec->FullOuterJoinSize()).MoveValue();
+  bool has_fanout = false;
+  bool has_indicator = false;
+  for (const ModelColumn& c : schema.columns()) {
+    has_fanout = has_fanout || c.kind == ModelColumnKind::kFanout;
+    has_indicator = has_indicator || c.kind == ModelColumnKind::kIndicator;
+  }
+  ASSERT_TRUE(has_fanout && has_indicator);
+  MadeModel::Options opts;
+  opts.hidden_sizes = {16, 16};
+  opts.residual = true;
+  opts.seed = 4;
+  ExpectTapeMatchesDense(schema, opts);
 }
 
 TEST(ResMadeTest, ResidualModelTrains) {

@@ -11,6 +11,9 @@
 #include <limits>
 #include <vector>
 
+#include "ar/dps_trainer.h"
+#include "ar/made.h"
+#include "ar/model_schema.h"
 #include "common/random.h"
 #include "datasets/datasets.h"
 #include "engine/bitmap.h"
@@ -357,6 +360,47 @@ TEST(KernelParityTest, SampleFojBitIdenticalAcrossBackends) {
   ASSERT_EQ(scalar_out.codes.size(), simd_out.codes.size());
   for (size_t c = 0; c < scalar_out.codes.size(); ++c) {
     EXPECT_EQ(scalar_out.codes[c], simd_out.codes[c]) << "column " << c;
+  }
+}
+
+TEST(KernelParityTest, TrainDpsBitIdenticalAcrossBackends) {
+  if (!kernels::Avx2Available()) GTEST_SKIP() << "no AVX2 on this machine";
+  // Training trajectories must not depend on the backend: every kernel the
+  // tape uses is bit-identical, so the trained parameters are too.
+  Database db = MakeCensusLike(400, 5);
+  auto exec = Executor::Create(&db).MoveValue();
+  SingleRelationWorkloadOptions wopts;
+  wopts.num_queries = 60;
+  wopts.seed = 3;
+  auto train =
+      GenerateSingleRelationWorkload(db, "census", *exec, wopts).MoveValue();
+  const ModelSchema schema =
+      ModelSchema::Build(db, train, SchemaHints{}, 400).MoveValue();
+  MadeModel::Options mopts;
+  mopts.hidden_sizes = {16, 16};
+  mopts.residual = true;
+  DpsOptions dopts;
+  dopts.epochs = 2;
+  dopts.batch_size = 16;
+
+  auto train_under = [&](Backend backend) {
+    EXPECT_TRUE(kernels::SetBackend(backend));
+    MadeModel model(&schema, mopts);
+    EXPECT_TRUE(TrainDps(&model, train, dopts).ok());
+    std::vector<Matrix> params;
+    for (const auto& p : model.params()) params.push_back(p.value());
+    return params;
+  };
+  BackendGuard guard;
+  const std::vector<Matrix> scalar = train_under(Backend::kScalar);
+  const std::vector<Matrix> simd = train_under(Backend::kAvx2);
+  ASSERT_EQ(scalar.size(), simd.size());
+  for (size_t k = 0; k < scalar.size(); ++k) {
+    ASSERT_EQ(scalar[k].size(), simd[k].size());
+    for (size_t i = 0; i < scalar[k].size(); ++i) {
+      ASSERT_EQ(scalar[k].data()[i], simd[k].data()[i])
+          << "parameter " << k << " entry " << i;
+    }
   }
 }
 

@@ -30,10 +30,10 @@ Status GenerationCheckpoint::Save(const std::string& path) const {
     w.PutU64(r.virt_chunk_seq.size());
     for (uint64_t v : r.virt_chunk_seq) w.PutU64(v);
     w.PutDouble(r.incoming_mass);
-    w.PutDouble(r.leaf_carry);
-    w.PutBool(r.leaf_last_valid);
-    w.PutU32(r.leaf_last_sample);
-    w.PutI64(r.leaf_last_fk);
+    w.PutDouble(r.leaf.carry);
+    w.PutBool(r.leaf.last_valid);
+    w.PutU32(r.leaf.last_sample);
+    w.PutI64(r.leaf.last_fk);
   }
   w.PutU64(manifest.size());
   for (const auto& f : manifest) {
@@ -83,10 +83,10 @@ Result<GenerationCheckpoint> GenerationCheckpoint::Load(
       SAM_ASSIGN_OR_RETURN(v, r.GetU64());
     }
     SAM_ASSIGN_OR_RETURN(s.incoming_mass, r.GetDouble());
-    SAM_ASSIGN_OR_RETURN(s.leaf_carry, r.GetDouble());
-    SAM_ASSIGN_OR_RETURN(s.leaf_last_valid, r.GetBool());
-    SAM_ASSIGN_OR_RETURN(s.leaf_last_sample, r.GetU32());
-    SAM_ASSIGN_OR_RETURN(s.leaf_last_fk, r.GetI64());
+    SAM_ASSIGN_OR_RETURN(s.leaf.carry, r.GetDouble());
+    SAM_ASSIGN_OR_RETURN(s.leaf.last_valid, r.GetBool());
+    SAM_ASSIGN_OR_RETURN(s.leaf.last_sample, r.GetU32());
+    SAM_ASSIGN_OR_RETURN(s.leaf.last_fk, r.GetI64());
     c.relations.push_back(std::move(s));
   }
   SAM_ASSIGN_OR_RETURN(const uint64_t n_files, r.GetU64());

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "sam/group_and_merge.h"
 #include "storage/spill.h"
 
 namespace sam {
@@ -50,12 +51,7 @@ struct GenerationCheckpoint {
     /// parent emits them; fixes this relation's renormalisation factor.
     double incoming_mass = 0;
     /// Leaf-relation carry, threaded across partition steps.
-    double leaf_carry = 0;
-    /// Last aggregated leaf group seen so far (receives the final
-    /// sub-threshold tuple after the last partition).
-    bool leaf_last_valid = false;
-    uint32_t leaf_last_sample = 0;
-    int64_t leaf_last_fk = -1;
+    LeafCarry leaf;
   };
   std::vector<RelationState> relations;
 

@@ -1,7 +1,6 @@
 #include "sam/generation_pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -17,6 +16,7 @@
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "sam/generation_checkpoint.h"
+#include "sam/group_and_merge.h"
 #include "storage/artifact_io.h"
 #include "storage/csv.h"
 #include "storage/schema_io.h"
@@ -89,22 +89,14 @@ struct GenerationPipeline::Impl {
     size_t index = 0;  ///< Batch index / partition index.
   };
 
-  /// One merge group of a partition step: virtuals sharing
-  /// (parent key | group-key codes), in first-appearance order — the
-  /// deterministic counterpart of the in-RAM unordered_map grouping.
-  struct Group {
-    std::vector<std::pair<uint32_t, double>> members;  ///< (sample, fraction).
-    double mass = 0.0;
-    int64_t fk = -1;
-    uint64_t key_hash = 0;
-  };
-
   const SamModel* sam = nullptr;
   GenerationPipelineOptions opts;
   MemoryBudget budget{0};
 
   bool multi = false;
   std::vector<std::string> topo;  ///< Relation processing order.
+  /// Group-and-Merge plan per relation, parallel to `topo` (multi-relation).
+  std::vector<RelationPlan> rels;
   uint64_t k = 0;                 ///< Total sampled FOJ tuples.
   uint64_t sample_batches = 0;
   size_t partitions = 1;
@@ -118,30 +110,18 @@ struct GenerationPipeline::Impl {
   // recomputation from the spilled FOJ chunks — no RNG involved — so it is
   // rebuilt on demand after a resume rather than checkpointed.
   bool preamble_ready = false;
-  std::unordered_map<std::string, std::vector<double>> w_base;
+  std::vector<std::vector<double>> w_base;  ///< Parallel to `topo`.
   int64_t preamble_reserved = 0;
 
-  struct ColPlan {
-    enum class Kind { kPk, kFk, kContent };
-    Kind kind = Kind::kContent;
-    size_t model_col = 0;
-  };
-
   /// Resident state of the relation whose partition steps are executing:
-  /// its needed code columns, renormalised weights and layout plan. Loaded
-  /// once per relation (spanning its partition + pass-2 steps), released
-  /// when the next relation activates.
+  /// its needed code columns and renormalised weights. Loaded once per
+  /// relation (spanning its partition + pass-2 steps), released when the
+  /// next relation activates.
   struct ActiveRel {
     bool valid = false;
     size_t topo_index = 0;
-    std::string name;
-    const SamModel::TableLayout* layout = nullptr;
-    bool keyed = false;
-    std::vector<std::string> children;
-    std::vector<size_t> group_cols;
-    std::map<std::string, std::vector<size_t>> child_group_cols;
-    std::vector<ColPlan> col_plan;
-    std::unordered_map<size_t, std::vector<int32_t>> resident;
+    const RelationPlan* rel = nullptr;
+    CodeColumns resident;   ///< Needed columns only; the others stay empty.
     std::vector<double> w;  ///< Renormalised scaled weights.
     int64_t reserved = 0;
   };
@@ -181,13 +161,6 @@ struct GenerationPipeline::Impl {
 
   GenerationCheckpoint::RelationState& RelState(const std::string& name) {
     return state.relations[rel_index.at(name)];
-  }
-
-  const SamModel::TableLayout* LayoutOf(const std::string& rel) const {
-    for (const auto& l : sam->layouts()) {
-      if (l.name == rel) return &l;
-    }
-    return nullptr;
   }
 
   int64_t RowFlushBytes() const {
@@ -285,10 +258,7 @@ struct GenerationPipeline::Impl {
         for (size_t p = 0; p < partitions; ++p) {
           plan.push_back(Step{Step::Kind::kPartition, r, p});
         }
-        const SamModel::TableLayout* layout = LayoutOf(topo[r]);
-        if (layout != nullptr && !layout->pk.empty()) {
-          plan.push_back(Step{Step::Kind::kPass2, r, 0});
-        }
+        if (rels[r].keyed) plan.push_back(Step{Step::Kind::kPass2, r, 0});
       }
     }
     for (size_t t = 0; t < sam->layouts().size(); ++t) {
@@ -346,7 +316,8 @@ struct GenerationPipeline::Impl {
           "ablation only runs on the in-RAM SamModel::Generate path");
     }
     if (multi) {
-      topo = schema().join_graph().TopologicalOrder();
+      SAM_ASSIGN_OR_RETURN(rels, PlanRelations(*sam));
+      for (const auto& rel : rels) topo.push_back(rel.name);
       k = o.foj_samples;
     } else {
       if (sam->layouts().size() != 1) {
@@ -359,19 +330,6 @@ struct GenerationPipeline::Impl {
     }
     rel_index.clear();
     for (size_t i = 0; i < topo.size(); ++i) rel_index[topo[i]] = i;
-    for (const auto& rel : topo) {
-      const SamModel::TableLayout* layout = LayoutOf(rel);
-      if (layout == nullptr) {
-        return Status::Internal("no table layout recorded for relation '" +
-                                rel + "'");
-      }
-      if (layout->fks.size() > 1) {
-        return Status::NotImplemented(
-            "relation '" + rel + "' has " + std::to_string(layout->fks.size()) +
-            " foreign keys; generation supports tree-structured schemas with "
-            "at most one foreign key per relation");
-      }
-    }
     sample_batches = (k + o.generation_batch - 1) / o.generation_batch;
     partitions = ChoosePartitions();
     BuildPlan();
@@ -448,7 +406,7 @@ struct GenerationPipeline::Impl {
         static_cast<int64_t>(topo.size()) * static_cast<int64_t>(k) * 8;
     SAM_RETURN_NOT_OK(budget.Reserve(bytes, "per-relation weight arrays"));
     preamble_reserved = bytes;
-    for (const auto& rel : topo) w_base[rel].assign(k, 0.0);
+    w_base.assign(topo.size(), std::vector<double>(k, 0.0));
 
     const size_t batch = options().generation_batch;
     for (uint64_t b = 0; b < sample_batches; ++b) {
@@ -458,27 +416,17 @@ struct GenerationPipeline::Impl {
       SAM_RETURN_NOT_OK(res.Acquire(
           FojChunk::BytesFor(chunk.rows, chunk.codes.size()),
           "FOJ chunk buffer"));
-      SamModel::FojSample view;
-      view.count = chunk.rows;
-      view.codes = std::move(chunk.codes);
       const uint64_t start = b * batch;
-      for (const auto& rel : topo) {
-        auto& w = w_base[rel];
-        for (uint64_t r = 0; r < chunk.rows; ++r) {
-          w[start + r] = sam->InverseProbabilityWeight(view, rel, r);
+      for (size_t r = 0; r < rels.size(); ++r) {
+        for (uint64_t i = 0; i < chunk.rows; ++i) {
+          w_base[r][start + i] = rels[r].ipw.Weight(chunk.codes, i);
         }
       }
     }
-    for (const auto& rel : topo) {
-      auto& w = w_base[rel];
+    for (size_t r = 0; r < rels.size(); ++r) {
       double sum = 0.0;
-      for (double v : w) sum += v;
-      if (sum <= 0.0) {
-        return Status::Internal("no usable samples for relation '" + rel +
-                                "'");
-      }
-      const double scale = static_cast<double>(schema().table_size(rel)) / sum;
-      for (double& v : w) v *= scale;
+      for (double v : w_base[r]) sum += v;
+      SAM_RETURN_NOT_OK(ScaleToTableSize(rels[r], sum, &w_base[r]));
     }
     preamble_ready = true;
     return Status::OK();
@@ -499,55 +447,20 @@ struct GenerationPipeline::Impl {
 
     ActiveRel rc;
     rc.topo_index = topo_index;
-    rc.name = topo[topo_index];
-    rc.layout = LayoutOf(rc.name);
-    rc.keyed = !rc.layout->pk.empty();
-    rc.children = schema().join_graph().Children(rc.name);
-    if (!rc.keyed && !rc.children.empty()) {
-      return Status::InvalidArgument("relation '" + rc.name +
-                                     "' has children but no primary key");
-    }
-    rc.group_cols =
-        rc.keyed ? sam->IdentifierColumns(rc.name)
-                 : schema().ColumnsOf(ModelColumnKind::kContent, rc.name);
-    for (const auto& child : rc.children) {
-      const SamModel::TableLayout* cl = LayoutOf(child);
-      const bool child_keyed = cl != nullptr && !cl->pk.empty();
-      rc.child_group_cols[child] =
-          child_keyed ? sam->IdentifierColumns(child)
-                      : schema().ColumnsOf(ModelColumnKind::kContent, child);
-    }
-
-    // Layout-column plan (mirrors the in-RAM emit_row).
-    std::unordered_set<size_t> needed;
-    for (const auto& cname : rc.layout->column_names) {
-      ColPlan cp;
-      if (!rc.layout->pk.empty() && cname == rc.layout->pk) {
-        cp.kind = ColPlan::Kind::kPk;
-      } else {
-        bool is_fk = false;
-        for (const auto& fk : rc.layout->fks) {
-          if (fk.column == cname) is_fk = true;
-        }
-        if (is_fk) {
-          cp.kind = ColPlan::Kind::kFk;
-        } else {
-          const int col =
-              schema().FindColumn(ModelColumnKind::kContent, rc.name, cname);
-          if (col < 0) {
-            return Status::Internal("content column missing from model: " +
-                                    rc.name + "." + cname);
-          }
-          cp.kind = ColPlan::Kind::kContent;
-          cp.model_col = static_cast<size_t>(col);
-          needed.insert(cp.model_col);
-        }
+    rc.rel = &rels[topo_index];
+    const RelationPlan& rel = *rc.rel;
+    // The columns this relation decodes and groups by, plus its children's
+    // group-key columns (which route child virtuals to partitions).
+    std::unordered_set<size_t> needed(rel.group_cols.begin(),
+                                      rel.group_cols.end());
+    for (const auto& oc : rel.columns) {
+      if (oc.kind == RelationPlan::OutputColumn::Kind::kContent) {
+        needed.insert(oc.model_col);
       }
-      rc.col_plan.push_back(cp);
     }
-    for (size_t c : rc.group_cols) needed.insert(c);
-    for (const auto& [child, cols] : rc.child_group_cols) {
-      for (size_t c : cols) needed.insert(c);
+    for (size_t child : rel.children) {
+      needed.insert(rels[child].group_cols.begin(),
+                    rels[child].group_cols.end());
     }
 
     // The relation's resident working set — its needed code columns plus the
@@ -557,13 +470,14 @@ struct GenerationPipeline::Impl {
         static_cast<int64_t>(k) * 8;
     SAM_RETURN_NOT_OK(budget.Reserve(
         bytes, "resident code columns + weight array for relation '" +
-                   rc.name + "' (the per-relation floor)"));
+                   rel.name + "' (the per-relation floor)"));
     rc.reserved = bytes;
     auto fail = [&](Status st) {
       budget.Release(rc.reserved);
       return st;
     };
 
+    rc.resident.resize(schema().num_columns());
     for (size_t c : needed) rc.resident[c].resize(k);
     const size_t batch = options().generation_batch;
     for (uint64_t b = 0; b < sample_batches; ++b) {
@@ -587,40 +501,20 @@ struct GenerationPipeline::Impl {
       }
     }
 
-    // Re-apply the scaling step against the incoming virtual mass (Alg 2's
-    // size guarantee under dropped sub-threshold parent groups) — same
-    // renormalisation as the in-RAM path.
-    rc.w = w_base.at(rc.name);
+    // Re-apply the scaling step against the incoming virtual mass.
+    rc.w = w_base[topo_index];
     double incoming = 0.0;
-    if (rc.name == schema().root()) {
+    if (rel.name == schema().root()) {
       for (double v : rc.w) incoming += v;
     } else {
-      incoming = RelState(rc.name).incoming_mass;
+      incoming = state.relations[topo_index].incoming_mass;
     }
-    if (incoming <= 0.0) {
-      return fail(
-          Status::Internal("no incoming mass for relation '" + rc.name + "'"));
-    }
-    const double renorm =
-        static_cast<double>(schema().table_size(rc.name)) / incoming;
-    for (double& v : rc.w) v *= renorm;
+    const Status scaled = ScaleToTableSize(rel, incoming, &rc.w);
+    if (!scaled.ok()) return fail(scaled);
 
     rc.valid = true;
     active = std::move(rc);
     return Status::OK();
-  }
-
-  // -- Group keys -----------------------------------------------------------
-
-  /// Key format matches the in-RAM path exactly: "<fk>|<code>,<code>,...,".
-  std::string GroupKey(int64_t fk, uint32_t sample,
-                       const std::vector<size_t>& cols) const {
-    std::string key = std::to_string(fk) + '|';
-    for (size_t c : cols) {
-      key += std::to_string(active.resident.at(c)[sample]);
-      key += ',';
-    }
-    return key;
   }
 
   // -- Row emission ---------------------------------------------------------
@@ -665,28 +559,6 @@ struct GenerationPipeline::Impl {
     return Status::OK();
   }
 
-  Status EmitRow(uint32_t sample, int64_t pk, int64_t fk, Rng* rng) {
-    std::vector<Value> row;
-    row.reserve(active.col_plan.size());
-    for (const auto& cp : active.col_plan) {
-      switch (cp.kind) {
-        case ColPlan::Kind::kPk:
-          row.emplace_back(pk);
-          break;
-        case ColPlan::Kind::kFk:
-          row.emplace_back(fk);
-          break;
-        case ColPlan::Kind::kContent: {
-          const ModelColumn& mc = schema().columns()[cp.model_col];
-          row.push_back(schema().DecodeContent(
-              mc, active.resident.at(cp.model_col)[sample], rng));
-          break;
-        }
-      }
-    }
-    return AppendRow(active.name, row);
-  }
-
   // -- Child virtuals -------------------------------------------------------
 
   void ClearVirtBuffers() {
@@ -723,31 +595,47 @@ struct GenerationPipeline::Impl {
     return Status::OK();
   }
 
-  Status EmitChildVirtual(const std::string& child, uint32_t sample,
-                          double fraction, int64_t fk) {
-    // Zero-mass virtuals (top-up keys, zero-weight samples) are no-ops for
-    // every downstream consumer; never spilling them keeps chunks smaller
-    // without changing any output.
-    if (fraction <= 0.0) return Status::OK();
-    const std::string child_key =
-        GroupKey(fk, sample, active.child_group_cols.at(child));
-    const size_t part = Fnv1aHash(child_key) % partitions;
-    VirtBuffer& buf = virt_bufs[{child, part}];
+  Status EmitChildVirtual(size_t child, uint32_t sample, double fraction,
+                          int64_t fk) {
+    const size_t c = active.rel->children[child];
+    const RelationPlan& child_rel = rels[c];
+    const size_t part =
+        Fnv1aHash(GroupKey(fk, sample, child_rel.group_cols, active.resident)) %
+        partitions;
+    VirtBuffer& buf = virt_bufs[{child_rel.name, part}];
     buf.records.push_back(SpillVirtual{sample, fraction, fk});
-    RelState(child).incoming_mass += w_base.at(child)[sample] * fraction;
+    state.relations[c].incoming_mass += w_base[c][sample] * fraction;
     const int64_t slab = 16ll << 10;
     while (buf.reserved < static_cast<int64_t>(buf.records.size() *
                                                sizeof(SpillVirtual))) {
       SAM_RETURN_NOT_OK(budget.Reserve(
-          slab, "virtual-sample buffer for relation '" + child + "'"));
+          slab, "virtual-sample buffer for relation '" + child_rel.name + "'"));
       buf.reserved += slab;
     }
     if (buf.records.size() >=
-        VirtFlushRecords(active.children.size() * partitions)) {
-      SAM_RETURN_NOT_OK(FlushVirtBuffer(child, part));
+        VirtFlushRecords(active.rel->children.size() * partitions)) {
+      SAM_RETURN_NOT_OK(FlushVirtBuffer(child_rel.name, part));
     }
     return Status::OK();
   }
+
+  /// Hands the Group-and-Merge core's output for the active relation to the
+  /// row buffer (decoded with the step's RNG) and the child spill buffers.
+  struct Sink final : MergeSink {
+    Sink(Impl* impl, Rng* rng) : impl(impl), rng(rng) {}
+    Status EmitRow(uint32_t sample, int64_t pk, int64_t fk) override {
+      const RelationPlan& rel = *impl->active.rel;
+      return impl->AppendRow(rel.name,
+                             rel.DecodeRow(impl->schema(), impl->active.resident,
+                                           sample, pk, fk, rng));
+    }
+    Status EmitChildVirtual(size_t child, uint32_t sample, double fraction,
+                            int64_t pk) override {
+      return impl->EmitChildVirtual(child, sample, fraction, pk);
+    }
+    Impl* impl;
+    Rng* rng;
+  };
 
   // -- Sample steps ---------------------------------------------------------
 
@@ -811,15 +699,16 @@ struct GenerationPipeline::Impl {
   /// load (chunk by chunk for spilled virtuals).
   Result<std::vector<SpillVirtual>> GatherVirtuals(size_t part,
                                                    ScopedReservation* res) {
+    const RelationPlan& rel = *active.rel;
     std::vector<SpillVirtual> virtuals;
-    if (active.name == schema().root()) {
+    if (rel.name == schema().root()) {
       // Root virtuals are implicit: every positively-weighted sample at
       // fraction 1 with no parent key; partitioned by its own group key.
       for (uint64_t s = 0; s < k; ++s) {
         if (active.w[s] <= 0.0) continue;
         if (partitions > 1) {
-          const std::string key =
-              GroupKey(-1, static_cast<uint32_t>(s), active.group_cols);
+          const std::string key = GroupKey(-1, static_cast<uint32_t>(s),
+                                           rel.group_cols, active.resident);
           if (Fnv1aHash(key) % partitions != part) continue;
         }
         virtuals.push_back(SpillVirtual{static_cast<uint32_t>(s), 1.0, -1});
@@ -828,48 +717,30 @@ struct GenerationPipeline::Impl {
                                      "root virtual samples"));
       return virtuals;
     }
-    const auto& rs = RelState(active.name);
+    const auto& rs = RelState(rel.name);
     for (uint64_t seq = 0; seq < rs.virt_chunk_seq[part]; ++seq) {
-      const std::string name = VirtChunkName(active.name, part, seq);
+      const std::string name = VirtChunkName(rel.name, part, seq);
       SAM_ASSIGN_OR_RETURN(VirtualChunk chunk, VirtualChunk::Load(Path(name)));
       SAM_RETURN_NOT_OK(
           res->Acquire(VirtualChunk::BytesFor(chunk.records.size()),
-                       "virtual samples for relation '" + active.name + "'"));
+                       "virtual samples for relation '" + rel.name + "'"));
       virtuals.insert(virtuals.end(), chunk.records.begin(),
                       chunk.records.end());
     }
     return virtuals;
   }
 
-  /// Merge groups in first-appearance order — the deterministic counterpart
-  /// of the in-RAM unordered_map grouping.
-  std::vector<Group> BuildGroups(
-      const std::vector<SpillVirtual>& virtuals) const {
-    std::vector<Group> groups;
-    std::unordered_map<std::string, size_t> group_index;
-    for (const auto& v : virtuals) {
-      const double wv = active.w[v.sample] * v.fraction;
-      if (wv <= 0.0) continue;
-      const std::string key = GroupKey(v.fk_value, v.sample, active.group_cols);
-      auto [it, inserted] = group_index.try_emplace(key, groups.size());
-      if (inserted) {
-        groups.emplace_back();
-        groups.back().fk = v.fk_value;
-        groups.back().key_hash = Fnv1aHash(key);
-      }
-      Group& g = groups[it->second];
-      g.members.emplace_back(v.sample, v.fraction);
-      g.mass += wv;
-    }
-    return groups;
-  }
-
+  /// Pass 1 of Group-and-Merge on one partition. A keyed relation spills its
+  /// leftover sets for pass 2 and its group digests for the top-up; a leaf
+  /// threads its carry across partitions through the checkpoint.
   Status ExecPartition(size_t rel_i, size_t part) {
     obs::TraceSpan span("generate/pipeline/partition");
     SAM_RETURN_NOT_OK(ActivateRelation(rel_i));
+    const RelationPlan& rel = *active.rel;
+    auto& rs = RelState(rel.name);
     ScopedReservation virt_res(&budget);
     ScopedReservation group_res(&budget);
-    std::vector<Group> groups;
+    std::vector<MergeGroup> groups;
     {
       SAM_ASSIGN_OR_RETURN(std::vector<SpillVirtual> virtuals,
                            GatherVirtuals(part, &virt_res));
@@ -878,136 +749,36 @@ struct GenerationPipeline::Impl {
       // of OOMing.
       SAM_RETURN_NOT_OK(group_res.Acquire(
           static_cast<int64_t>(virtuals.size()) * 96,
-          "merge-group table for relation '" + active.name + "' partition " +
+          "merge-group table for relation '" + rel.name + "' partition " +
               std::to_string(part)));
-      groups = BuildGroups(virtuals);
+      groups = BuildGroups(virtuals, active.w, rel.group_cols, active.resident);
     }
 
-    Rng rng(DeriveSeed(state.base_seed, "decode|" + active.name + "|part|" +
+    Rng rng(DeriveSeed(state.base_seed, "decode|" + rel.name + "|part|" +
                                             std::to_string(part)));
-    if (active.keyed) {
-      SAM_RETURN_NOT_OK(ExecKeyedPartition(part, groups, &rng));
+    Sink sink(this, &rng);
+    if (!rel.keyed) {
+      SAM_RETURN_NOT_OK(EmitLeafGroups(groups, part + 1 == partitions,
+                                       options().leftover_key_threshold,
+                                       &rs.leaf, &sink));
     } else {
-      SAM_RETURN_NOT_OK(ExecLeafPartition(part, groups, &rng));
+      LeftoverChunk leftover;
+      GroupSummaryChunk summary;
+      SAM_RETURN_NOT_OK(MergeGroups(rel, groups, active.w, &rs.pk_counter,
+                                    &sink, &leftover.sets, &summary.groups));
+      if (!leftover.sets.empty()) {
+        const std::string name = LeftoverChunkName(rel.name, part);
+        SAM_RETURN_NOT_OK(leftover.Save(Path(name)));
+        SAM_RETURN_NOT_OK(RecordChunk(name));
+      }
+      if (!summary.groups.empty()) {
+        const std::string name = SummaryChunkName(rel.name, part);
+        SAM_RETURN_NOT_OK(summary.Save(Path(name)));
+        SAM_RETURN_NOT_OK(RecordChunk(name));
+      }
     }
-    SAM_RETURN_NOT_OK(FlushRowChunk(active.name));
+    SAM_RETURN_NOT_OK(FlushRowChunk(rel.name));
     return FlushAllVirtBuffers();
-  }
-
-  /// Pass 1 of Group-and-Merge (Alg 3 lines 9-17): merge within each group,
-  /// assigning a primary key whenever the accumulated scaled weight reaches
-  /// 1, and spill the sub-unit leftovers for the global pass 2 plus the
-  /// group digests its shortfall top-up needs.
-  Status ExecKeyedPartition(size_t part, const std::vector<Group>& groups,
-                            Rng* rng) {
-    auto& rs = RelState(active.name);
-    LeftoverChunk leftover;
-    GroupSummaryChunk summary;
-    summary.groups.reserve(groups.size());
-    for (const Group& g : groups) {
-      std::vector<LeftoverMember> set_to_merge;
-      double weight_sum = 0.0;
-      for (const auto& [sample, fraction] : g.members) {
-        double remaining = active.w[sample] * fraction;
-        // A single virtual may span several primary keys (scaled weight > 1
-        // after filling the current merge set).
-        while (remaining > 0.0) {
-          const double take = std::min(remaining, 1.0 - weight_sum);
-          set_to_merge.push_back(LeftoverMember{sample, take});
-          weight_sum += take;
-          remaining -= take;
-          if (weight_sum >= 1.0 - 1e-12) {
-            SAM_RETURN_NOT_OK(AssignKey(set_to_merge, g.fk, rng, &rs));
-            set_to_merge.clear();
-            weight_sum = 0.0;
-          }
-        }
-      }
-      if (weight_sum > 1e-9 && !set_to_merge.empty()) {
-        LeftoverSet set;
-        set.weight = weight_sum;
-        set.fk_value = g.fk;
-        set.members = std::move(set_to_merge);
-        leftover.sets.push_back(std::move(set));
-      }
-      // (mass, key hash, representative sample): a pure function of
-      // pre-assignment state, so pass 2 derives the identical heaviest-group
-      // order without the group tables resident.
-      summary.groups.push_back(
-          GroupSummary{g.mass, g.key_hash, g.members.front().first, g.fk});
-    }
-    if (!leftover.sets.empty()) {
-      const std::string name = LeftoverChunkName(active.name, part);
-      SAM_RETURN_NOT_OK(leftover.Save(Path(name)));
-      SAM_RETURN_NOT_OK(RecordChunk(name));
-    }
-    if (!summary.groups.empty()) {
-      const std::string name = SummaryChunkName(active.name, part);
-      SAM_RETURN_NOT_OK(summary.Save(Path(name)));
-      SAM_RETURN_NOT_OK(RecordChunk(name));
-    }
-    return Status::OK();
-  }
-
-  /// Assigns the next primary key to a merge set: emit one row from the
-  /// first member, then hand each member's consumed share down to every
-  /// child as a virtual (mirrors the in-RAM assign_key).
-  Status AssignKey(const std::vector<LeftoverMember>& members, int64_t fk,
-                   Rng* rng, GenerationCheckpoint::RelationState* rs) {
-    if (members.empty()) {
-      return Status::Internal("empty merge set for relation '" + active.name +
-                              "'");
-    }
-    SAM_RETURN_NOT_OK(EmitRow(members.front().sample, rs->pk_counter, fk, rng));
-    for (const auto& m : members) {
-      const double sample_total = active.w[m.sample];
-      const double child_fraction =
-          sample_total > 0.0 ? m.take / sample_total : 0.0;
-      for (const auto& child : active.children) {
-        SAM_RETURN_NOT_OK(
-            EmitChildVirtual(child, m.sample, child_fraction, rs->pk_counter));
-      }
-    }
-    rs->pk_counter++;
-    return Status::OK();
-  }
-
-  Status ExecLeafPartition(size_t part, const std::vector<Group>& groups,
-                           Rng* rng) {
-    auto& rs = RelState(active.name);
-    // Leaf relation: emit round(mass) copies per aggregated group with the
-    // carry threaded globally across partitions through the checkpoint.
-    for (const Group& g : groups) {
-      const uint32_t sample = g.members.front().first;
-      // Snap near-integer masses (same float-drift guard as the in-RAM path).
-      double mass = g.mass;
-      const double rounded = std::round(mass);
-      if (std::fabs(mass - rounded) < 1e-6) mass = rounded;
-      rs.leaf_carry += mass;
-      while (rs.leaf_carry >= 1.0) {
-        SAM_RETURN_NOT_OK(EmitRow(sample, -1, g.fk, rng));
-        rs.leaf_carry -= 1.0;
-      }
-      rs.leaf_last_valid = true;
-      rs.leaf_last_sample = sample;
-      rs.leaf_last_fk = g.fk;
-    }
-    if (part + 1 == partitions) {
-      // End of the relation: the final sub-threshold tuple goes to the last
-      // aggregated group seen anywhere.
-      if (rs.leaf_carry >= options().leftover_key_threshold &&
-          rs.leaf_last_valid) {
-        SAM_RETURN_NOT_OK(
-            EmitRow(rs.leaf_last_sample, -1, rs.leaf_last_fk, rng));
-      } else if (rs.leaf_carry > 0.0 && obs::MetricsEnabled()) {
-        obs::MetricsRegistry::Global()
-            .GetGauge("sam.generate.leftover_mass_dropped")
-            ->Add(rs.leaf_carry);
-      }
-      rs.leaf_carry = 0.0;
-      rs.leaf_last_valid = false;
-    }
-    return Status::OK();
   }
 
   // -- Pass 2: global leftover assignment + shortfall top-up ----------------
@@ -1015,22 +786,17 @@ struct GenerationPipeline::Impl {
   Status ExecPass2(size_t rel_i) {
     obs::TraceSpan span("generate/pipeline/pass2");
     SAM_RETURN_NOT_OK(ActivateRelation(rel_i));
-    auto& rs = RelState(active.name);
-    Rng rng(DeriveSeed(state.base_seed, "decode|" + active.name + "|pass2"));
+    const RelationPlan& rel = *active.rel;
+    auto& rs = RelState(rel.name);
+    Rng rng(DeriveSeed(state.base_seed, "decode|" + rel.name + "|pass2"));
+    Sink sink(this, &rng);
 
-    // Load every partition's leftover sets. The global order is
-    // (weight desc, partition asc, in-chunk index asc) — a pure function of
-    // pass-1 outputs, so a resumed run reproduces it exactly.
-    struct IndexedSet {
-      double weight = 0.0;
-      size_t part = 0;
-      size_t idx = 0;
-      LeftoverSet set;
-    };
-    std::vector<IndexedSet> leftovers;
+    // Every partition's leftover sets, in position order (partition, then
+    // index within the chunk).
+    std::vector<LeftoverSet> leftovers;
     ScopedReservation res(&budget);
     for (size_t p = 0; p < partitions; ++p) {
-      const std::string name = LeftoverChunkName(active.name, p);
+      const std::string name = LeftoverChunkName(rel.name, p);
       if (!HasManifest(name)) continue;
       SAM_ASSIGN_OR_RETURN(LeftoverChunk chunk,
                            LeftoverChunk::Load(Path(name)));
@@ -1039,87 +805,31 @@ struct GenerationPipeline::Impl {
         bytes += 48 + static_cast<int64_t>(s.members.size()) * 16;
       }
       SAM_RETURN_NOT_OK(res.Acquire(
-          bytes, "leftover merge sets for relation '" + active.name + "'"));
-      for (size_t i = 0; i < chunk.sets.size(); ++i) {
-        leftovers.push_back(
-            IndexedSet{chunk.sets[i].weight, p, i, std::move(chunk.sets[i])});
-      }
+          bytes, "leftover merge sets for relation '" + rel.name + "'"));
+      for (auto& set : chunk.sets) leftovers.push_back(std::move(set));
     }
-    std::sort(leftovers.begin(), leftovers.end(),
-              [](const IndexedSet& a, const IndexedSet& b) {
-                if (a.weight != b.weight) return a.weight > b.weight;
-                if (a.part != b.part) return a.part < b.part;
-                return a.idx < b.idx;
-              });
+    SAM_RETURN_NOT_OK(AssignLeftovers(rel, std::move(leftovers), active.w,
+                                      &rs.pk_counter, &sink));
 
-    const int64_t target = schema().table_size(active.name);
-    double dropped_mass = 0.0;
-    for (const auto& ls : leftovers) {
-      if (rs.pk_counter >= target) {
-        dropped_mass += ls.weight;
-        continue;
-      }
-      SAM_RETURN_NOT_OK(AssignKey(ls.set.members, ls.set.fk_value, &rng, &rs));
-    }
-
-    if (rs.pk_counter < target) {
-      // Shortfall: top up round-robin from the heaviest groups, using the
-      // digests pass 1 spilled. Topped-up keys repeat already-emitted
-      // content and their child virtuals would carry zero mass, so none are
-      // emitted (same semantics as the in-RAM consumed=0 top-up).
-      const int64_t shortfall = target - rs.pk_counter;
-      struct IndexedSummary {
-        GroupSummary g;
-        size_t part = 0;
-        size_t idx = 0;
-      };
-      std::vector<IndexedSummary> heavy;
+    if (rs.pk_counter < rel.size) {
+      // The group digests pass 1 spilled are read only when pass 2 ran dry.
+      std::vector<GroupSummary> summaries;
       ScopedReservation heavy_res(&budget);
       for (size_t p = 0; p < partitions; ++p) {
-        const std::string name = SummaryChunkName(active.name, p);
+        const std::string name = SummaryChunkName(rel.name, p);
         if (!HasManifest(name)) continue;
         SAM_ASSIGN_OR_RETURN(GroupSummaryChunk chunk,
                              GroupSummaryChunk::Load(Path(name)));
         SAM_RETURN_NOT_OK(heavy_res.Acquire(
             static_cast<int64_t>(chunk.groups.size()) * 48,
-            "group summaries for relation '" + active.name + "'"));
-        for (size_t i = 0; i < chunk.groups.size(); ++i) {
-          heavy.push_back(IndexedSummary{chunk.groups[i], p, i});
-        }
+            "group summaries for relation '" + rel.name + "'"));
+        summaries.insert(summaries.end(), chunk.groups.begin(),
+                         chunk.groups.end());
       }
-      if (heavy.empty()) {
-        return Status::Internal(
-            "relation '" + active.name + "' is " + std::to_string(shortfall) +
-            " row(s) short of |T| with no merge groups to draw from");
-      }
-      std::sort(heavy.begin(), heavy.end(),
-                [](const IndexedSummary& a, const IndexedSummary& b) {
-                  if (a.g.mass != b.g.mass) return a.g.mass > b.g.mass;
-                  if (a.g.key_hash != b.g.key_hash) {
-                    return a.g.key_hash < b.g.key_hash;
-                  }
-                  if (a.part != b.part) return a.part < b.part;
-                  return a.idx < b.idx;
-                });
-      for (size_t i = 0; rs.pk_counter < target; i = (i + 1) % heavy.size()) {
-        SAM_RETURN_NOT_OK(EmitRow(heavy[i].g.sample, rs.pk_counter,
-                                  heavy[i].g.fk_value, &rng));
-        rs.pk_counter++;
-      }
-      SAM_LOG(Warn) << "relation '" << active.name
-                    << "': leftover merge sets ran out " << shortfall
-                    << " row(s) short of |T|=" << target
-                    << "; topped up from the heaviest groups";
-      obs::MetricsRegistry::Global()
-          .GetCounter("sam.generate.shortfall_rows")
-          ->Add(static_cast<uint64_t>(shortfall));
+      SAM_RETURN_NOT_OK(
+          TopUp(rel, std::move(summaries), &rs.pk_counter, &sink));
     }
-    if (dropped_mass > 0.0 && obs::MetricsEnabled()) {
-      obs::MetricsRegistry::Global()
-          .GetGauge("sam.generate.leftover_mass_dropped")
-          ->Add(dropped_mass);
-    }
-    SAM_RETURN_NOT_OK(FlushRowChunk(active.name));
+    SAM_RETURN_NOT_OK(FlushRowChunk(rel.name));
     return FlushAllVirtBuffers();
   }
 

@@ -72,9 +72,11 @@ struct GenerationRunSummary {
 /// published bytes are a pure function of the model and the options. See
 /// docs/GENERATION.md.
 ///
-/// The pipeline's output row *order* differs from `SamModel::Generate` (rows
-/// stream out partition-major), so the two paths are each deterministic but
-/// not byte-identical to each other.
+/// IPW, scaling and every Group-and-Merge decision come from the core in
+/// `sam/group_and_merge.h`, which `SamModel::Generate` calls too; at one
+/// partition both paths assign the same keys. The bytes still differ: each
+/// pipeline step decodes with its own derived RNG seed, and rows stream out
+/// partition-major.
 class GenerationPipeline {
  public:
   /// `sam` must outlive the pipeline. Requires `use_group_and_merge` (the

@@ -79,6 +79,10 @@ Status ValidateSamOptions(const SamOptions& options);
 /// sampling. Generation stage: FOJ tuples are sampled from the model,
 /// de-biased per base relation with inverse probability weighting, scaled to
 /// the true relation sizes, and join keys are assigned with Group-and-Merge.
+/// Weighting, scaling and key assignment are the Group-and-Merge core in
+/// `sam/group_and_merge.h`, shared with the out-of-core
+/// `GenerationPipeline`: `Generate` runs every relation as one partition in
+/// RAM.
 class SamModel {
  public:
   /// Builds an *untrained* SAM for `db`'s schema metadata (table/column
@@ -123,10 +127,6 @@ class SamModel {
   /// One layout per relation, in the source database's table order.
   const std::vector<TableLayout>& layouts() const { return layouts_; }
 
-  /// Model-column indices of Identifier(T.pk) per Theorem 2 (the grouping
-  /// key of Group-and-Merge; shared with the out-of-core pipeline).
-  std::vector<size_t> IdentifierColumns(const std::string& table) const;
-
   /// \brief One sampled FOJ tuple set as raw model codes (k x num_columns),
   /// exposed for tests and the ablation harness.
   struct FojSample {
@@ -153,7 +153,8 @@ class SamModel {
                            size_t rows) const;
 
   /// Inverse-probability weight of relation `table` for sample `s` (Eq. 4);
-  /// 0 when the relation is absent (indicator 0).
+  /// 0 when the relation is absent (indicator 0). The reference that the
+  /// generators' planned `IpwPlan::Weight` is tested against.
   double InverseProbabilityWeight(const FojSample& foj, const std::string& table,
                                   size_t s) const;
 

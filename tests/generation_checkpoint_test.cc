@@ -32,10 +32,10 @@ GenerationCheckpoint MakeCheckpoint(uint64_t next_step) {
   a.incoming_mass = 12.5;
   GenerationCheckpoint::RelationState b;
   b.name = "leaf";
-  b.leaf_carry = 0.375;
-  b.leaf_last_valid = true;
-  b.leaf_last_sample = 9;
-  b.leaf_last_fk = 5;
+  b.leaf.carry = 0.375;
+  b.leaf.last_valid = true;
+  b.leaf.last_sample = 9;
+  b.leaf.last_fk = 5;
   c.relations = {a, b};
   c.manifest = {{"foj_000000.spill", 128}, {"rows_parent_000000.spill", 64}};
   c.rows_total = 40;
@@ -64,10 +64,10 @@ TEST(GenerationCheckpointTest, RoundTripsAllFields) {
   EXPECT_EQ(r.relations[0].virt_chunk_seq, (std::vector<uint64_t>{2, 0, 1}));
   EXPECT_EQ(r.relations[0].incoming_mass, 12.5);
   EXPECT_EQ(r.relations[1].name, "leaf");
-  EXPECT_EQ(r.relations[1].leaf_carry, 0.375);
-  EXPECT_TRUE(r.relations[1].leaf_last_valid);
-  EXPECT_EQ(r.relations[1].leaf_last_sample, 9u);
-  EXPECT_EQ(r.relations[1].leaf_last_fk, 5);
+  EXPECT_EQ(r.relations[1].leaf.carry, 0.375);
+  EXPECT_TRUE(r.relations[1].leaf.last_valid);
+  EXPECT_EQ(r.relations[1].leaf.last_sample, 9u);
+  EXPECT_EQ(r.relations[1].leaf.last_fk, 5);
   ASSERT_EQ(r.manifest.size(), 2u);
   EXPECT_EQ(r.manifest[0].name, "foj_000000.spill");
   EXPECT_EQ(r.manifest[0].bytes, 128u);

@@ -13,34 +13,14 @@
 #include "ar/estimator.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
+#include "generation_fixtures.h"
 #include "sam/sam_model.h"
 #include "storage/database.h"
 
 namespace sam {
 namespace {
 
-Predicate Eq(const std::string& table, const std::string& col, const char* v) {
-  return Predicate{table, col, PredOp::kEq, Value(std::string(v)), {}};
-}
-
-/// Literal workload defining the chain schema's column domains.
-Workload ChainWorkload() {
-  Workload w;
-  auto add = [&](std::vector<std::string> rels, Predicate p, int64_t card) {
-    Query q;
-    q.relations = std::move(rels);
-    q.predicates = {std::move(p)};
-    q.cardinality = card;
-    w.push_back(std::move(q));
-  };
-  add({"A"}, Eq("A", "a", "m"), 1);
-  add({"A"}, Eq("A", "a", "n"), 1);
-  add({"A", "B"}, Eq("B", "b", "p"), 2);
-  add({"A", "B"}, Eq("B", "b", "q"), 1);
-  add({"A", "B", "C"}, Eq("C", "c", "u"), 2);
-  add({"A", "B", "C"}, Eq("C", "c", "v"), 1);
-  return w;
-}
+using namespace testing_fixtures;
 
 Result<std::unique_ptr<SamModel>> MakeChainSam(const Database& db,
                                                const SamOptions& options) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <memory>
 
 #include "ar/training_checkpoint.h"
 #include "autodiff/adam.h"
@@ -10,6 +11,7 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 
@@ -20,6 +22,11 @@ using ad::Tensor;
 namespace {
 
 constexpr double kMaskedLogit = -1e9;
+
+/// Queries per shard of a DPS step. A compile-time constant, never derived
+/// from the pool size: shard boundaries, and with them every floating-point
+/// sum of a step, are the same for any number of threads.
+constexpr size_t kShardQueries = 16;
 
 /// Builds the B x D mask constant for one column from the compiled queries of
 /// the batch; `rows` maps batch row -> query index (paths replicate rows).
@@ -64,6 +71,91 @@ ColumnMasks BuildColumnMasks(const std::vector<const CompiledQuery*>& queries,
     }
   }
   return out;
+}
+
+/// What every shard of a run reads besides its queries and noise.
+struct ShardConstants {
+  double log_total = 0;  ///< log |FOJ|, the start of every estimate.
+  /// Per fanout column, -log F of each domain value (empty otherwise).
+  std::vector<std::vector<double>> neg_log_fanout;
+  size_t sample_paths = 1;
+  double tau = 1;
+  /// 1 / rows of the whole step, so the shard losses sum to the step's mean.
+  double inv_step_rows = 1;
+};
+
+/// Forward and Backward of one shard on a tape of its own over `mw`:
+/// progressive sampling with straight-through samples for `queries`, each
+/// replicated `sample_paths` times as consecutive rows. `uniforms[col]` holds
+/// the shard's Gumbel uniforms of column `col` (rows x domain). Gradients
+/// land in `mw`'s leaves. Returns the shard's part of the step loss.
+double ShardForwardBackward(const MadeModel& model,
+                            const MadeModel::MaskedWeights& mw,
+                            const std::vector<const CompiledQuery*>& queries,
+                            const std::vector<Matrix>& uniforms,
+                            const ShardConstants& k) {
+  const ModelSchema& schema = model.schema();
+  const size_t batch = queries.size() * k.sample_paths;
+  std::vector<size_t> row_query(batch);
+  for (size_t r = 0; r < batch; ++r) row_query[r] = r / k.sample_paths;
+
+  // Each sampled column feeds the incremental tape state: its first-layer
+  // and direct-connection contributions are one product with that column's
+  // weight rows.
+  Tensor loss;
+  {
+    obs::TraceSpan forward_span("train/forward");
+    MadeModel::TapeState state = model.InitTape(batch);
+    Tensor log_est = Tensor::Constant(Matrix(batch, 1, k.log_total));
+    for (size_t col = 0; col < schema.num_columns(); ++col) {
+      const ModelColumn& mc = schema.columns()[col];
+      Tensor logits = model.TapeLogits(mw, state, col);
+      const ColumnMasks masks =
+          BuildColumnMasks(queries, row_query, col, mc.domain_size);
+
+      Tensor masked_logits = logits;
+      if (masks.constrained) {
+        // In-range probability contributes to the cardinality estimate.
+        Tensor probs = ad::Softmax(logits);
+        Tensor p_in = ad::RowSum(ad::Mul(probs, Tensor::Constant(masks.allow)));
+        log_est = ad::Add(log_est, ad::LogEps(p_in, 1e-20));
+        masked_logits = ad::Add(logits, Tensor::Constant(masks.log_mask));
+      }
+      Tensor sample = ad::GumbelSoftmaxST(masked_logits, k.tau, uniforms[col]);
+
+      if (mc.kind == ModelColumnKind::kFanout) {
+        // Rows whose query excludes this relation scale by 1/F.
+        Matrix neg_log_f(batch, mc.domain_size, 0.0);
+        bool any = false;
+        for (size_t r = 0; r < batch; ++r) {
+          if (!queries[row_query[r]]->scale_fanout[col]) continue;
+          any = true;
+          std::copy(k.neg_log_fanout[col].begin(), k.neg_log_fanout[col].end(),
+                    neg_log_f.row(r));
+        }
+        if (any) {
+          Tensor contrib =
+              ad::RowSum(ad::Mul(sample, Tensor::Constant(std::move(neg_log_f))));
+          log_est = ad::Add(log_est, contrib);
+        }
+      }
+      model.TapeObserve(mw, &state, col, sample);
+    }
+
+    // ---- Loss: this shard's squared log-cardinality errors over the
+    // step's row count, so the shard losses sum to the step's mean.
+    Matrix target(batch, 1);
+    for (size_t r = 0; r < batch; ++r) {
+      target(r, 0) = queries[row_query[r]]->log_card;
+    }
+    Tensor diff = ad::Sub(log_est, Tensor::Constant(std::move(target)));
+    loss = ad::Scale(ad::SumAll(ad::Mul(diff, diff)), k.inv_step_rows);
+  }
+  {
+    obs::TraceSpan backward_span("train/backward");
+    loss.Backward();
+  }
+  return loss.value()(0, 0);
 }
 
 }  // namespace
@@ -117,7 +209,8 @@ uint64_t TrainingFingerprint(const DpsOptions& options, const MadeModel& model,
   Fnv1a h;
   // Training options that shape the arithmetic. The checkpointing knobs
   // (dir/cadence/retention/resume) only decide *when* snapshots are written,
-  // never what is computed, so they are deliberately excluded.
+  // and the pool only where shards run, never what is computed, so they are
+  // deliberately excluded.
   h.MixU64(options.epochs);
   h.MixU64(options.batch_size);
   h.MixU64(options.sample_paths);
@@ -180,8 +273,10 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
   ad::AdamOptimizer adam(model->params(), adam_opts);
 
   Rng rng(options.seed);
-  const double log_total = std::log(static_cast<double>(
+  ShardConstants shard_k;
+  shard_k.log_total = std::log(static_cast<double>(
       std::max<int64_t>(schema.foj_size(), 1)));
+  shard_k.sample_paths = options.sample_paths;
 
   std::vector<size_t> order(train.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -189,13 +284,13 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
   // Fanout scaling multiplies a row's estimate by 1/F of the sampled value
   // (log-space: -log F); the row of -log F per domain value is fixed per
   // fanout column.
-  std::vector<std::vector<double>> neg_log_fanout(n_cols);
+  shard_k.neg_log_fanout.resize(n_cols);
   for (size_t col = 0; col < n_cols; ++col) {
     const ModelColumn& mc = schema.columns()[col];
     if (mc.kind != ModelColumnKind::kFanout) continue;
-    neg_log_fanout[col].resize(mc.domain_size);
+    shard_k.neg_log_fanout[col].resize(mc.domain_size);
     for (size_t j = 0; j < mc.domain_size; ++j) {
-      neg_log_fanout[col][j] = -std::log(
+      shard_k.neg_log_fanout[col][j] = -std::log(
           static_cast<double>(mc.FanoutValueOf(static_cast<int32_t>(j))));
     }
   }
@@ -329,7 +424,13 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
     return stats;
   }
 
-  adam.ZeroGrad();
+  std::unique_ptr<ThreadPool> owned_pool;
+  ThreadPool* pool = options.pool;
+  if (pool == nullptr) {
+    owned_pool = std::make_unique<ThreadPool>();
+    pool = owned_pool.get();
+  }
+
   bool out_of_budget = false;
   bool stop_requested = false;
   for (size_t epoch = start_epoch;
@@ -340,12 +441,12 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
     const bool resumed_mid_epoch = epoch == start_epoch && resume_in_epoch;
     obs::TraceSpan epoch_span("train/epoch");
     // Temperature annealing (geometric) and learning-rate decay.
-    double tau = options.gumbel_tau;
+    shard_k.tau = options.gumbel_tau;
     if (options.gumbel_tau_final > 0 && options.epochs > 1) {
       const double t = static_cast<double>(epoch) /
                        static_cast<double>(options.epochs - 1);
-      tau = options.gumbel_tau *
-            std::pow(options.gumbel_tau_final / options.gumbel_tau, t);
+      shard_k.tau = options.gumbel_tau *
+                    std::pow(options.gumbel_tau_final / options.gumbel_tau, t);
     }
     if (!resumed_mid_epoch) {
       if (epoch > 0 && options.lr_decay != 1.0) {
@@ -378,84 +479,52 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
       obs::TraceSpan step_span("train/step");
       Stopwatch step_watch;
       const size_t q_in_batch = std::min(options.batch_size, order.size() - start);
-      // Replicate each query `sample_paths` times as batch rows.
-      std::vector<const CompiledQuery*> queries(q_in_batch);
+      const size_t n_shards = (q_in_batch + kShardQueries - 1) / kShardQueries;
+      std::vector<std::vector<const CompiledQuery*>> shard_queries(n_shards);
       for (size_t i = 0; i < q_in_batch; ++i) {
-        queries[i] = &compiled[order[start + i]];
+        shard_queries[i / kShardQueries].push_back(&compiled[order[start + i]]);
       }
-      const size_t batch = q_in_batch * options.sample_paths;
-      std::vector<size_t> row_query(batch);
-      for (size_t r = 0; r < batch; ++r) row_query[r] = r / options.sample_paths;
-
-      // ---- Forward: progressive sampling with straight-through samples.
-      // Each sampled column feeds the incremental tape state: its first-layer
-      // and direct-connection contributions are one product with that
-      // column's weight rows.
-      Tensor loss;
-      {
-        obs::TraceSpan forward_span("train/forward");
-        const MadeModel::MaskedWeights mw = model->BuildMaskedWeights();
-        MadeModel::TapeState state = model->InitTape(batch);
-        Matrix log_est_init(batch, 1, log_total);
-        Tensor log_est = Tensor::Constant(std::move(log_est_init));
-
-        for (size_t col = 0; col < n_cols; ++col) {
-          const ModelColumn& mc = schema.columns()[col];
-          Tensor logits = model->TapeLogits(mw, state, col);
-          const ColumnMasks masks =
-              BuildColumnMasks(queries, row_query, col, mc.domain_size);
-
-          Tensor masked_logits = logits;
-          if (masks.constrained) {
-            // In-range probability contributes to the cardinality estimate.
-            Tensor probs = ad::Softmax(logits);
-            Tensor p_in = ad::RowSum(ad::Mul(probs, Tensor::Constant(masks.allow)));
-            log_est = ad::Add(log_est, ad::LogEps(p_in, 1e-20));
-            masked_logits = ad::Add(logits, Tensor::Constant(masks.log_mask));
-          }
-          Tensor sample = ad::GumbelSoftmaxST(masked_logits, tau, &rng);
-
-          if (mc.kind == ModelColumnKind::kFanout) {
-            // Rows whose query excludes this relation scale by 1/F.
-            Matrix neg_log_f(batch, mc.domain_size, 0.0);
-            bool any = false;
-            for (size_t r = 0; r < batch; ++r) {
-              if (!queries[row_query[r]]->scale_fanout[col]) continue;
-              any = true;
-              std::copy(neg_log_fanout[col].begin(), neg_log_fanout[col].end(),
-                        neg_log_f.row(r));
-            }
-            if (any) {
-              Tensor contrib =
-                  ad::RowSum(ad::Mul(sample, Tensor::Constant(std::move(neg_log_f))));
-              log_est = ad::Add(log_est, contrib);
-            }
-          }
-          model->TapeObserve(mw, &state, col, sample);
+      // The step's Gumbel uniforms, drawn serially in the order one tape
+      // over the whole batch would consume them: column by column, then row,
+      // then domain value. A shard's rows are consecutive batch rows, so
+      // drawing shard by shard within a column keeps that order.
+      std::vector<std::vector<Matrix>> uniforms(n_shards);
+      for (size_t col = 0; col < n_cols; ++col) {
+        const size_t domain = schema.columns()[col].domain_size;
+        for (size_t sh = 0; sh < n_shards; ++sh) {
+          Matrix u(shard_queries[sh].size() * options.sample_paths, domain);
+          for (size_t i = 0; i < u.size(); ++i) u.data()[i] = rng.Uniform();
+          uniforms[sh].push_back(std::move(u));
         }
-
-        // ---- Loss: mean squared log-cardinality error.
-        Matrix target(batch, 1);
-        for (size_t r = 0; r < batch; ++r) {
-          target(r, 0) = queries[row_query[r]]->log_card;
-        }
-        Tensor diff = ad::Sub(log_est, Tensor::Constant(std::move(target)));
-        loss = ad::MeanAll(ad::Mul(diff, diff));
       }
+      shard_k.inv_step_rows =
+          1.0 / static_cast<double>(q_in_batch * options.sample_paths);
 
+      // ---- Shards: forward and Backward, each on its own tape and leaves.
+      const MadeModel::MaskedValues values = model->BuildMaskedValues();
+      std::vector<MadeModel::MaskedWeights> tapes(n_shards);
+      std::vector<double> shard_loss(n_shards);
+      pool->ParallelFor(n_shards, [&](size_t sh) {
+        tapes[sh] = MadeModel::WrapMaskedWeights(values);
+        shard_loss[sh] = ShardForwardBackward(*model, tapes[sh],
+                                              shard_queries[sh], uniforms[sh],
+                                              shard_k);
+      });
+      // ---- Reduction in shard order, then one Adam step. Both run on this
+      // thread, so the parameters do not depend on the pool size.
+      double loss = 0;
+      for (double l : shard_loss) loss += l;
       {
-        obs::TraceSpan backward_span("train/backward");
-        loss.Backward();
+        obs::TraceSpan reduce_span("train/reduce");
+        model->ReduceGradients(tapes);
       }
+      double grad_norm = 0;
       {
-        // Gradients are zeroed right after they are applied (and once before
-        // the first step), so every Backward starts from zero.
         obs::TraceSpan adam_span("train/adam");
-        adam.Step();
-        adam.ZeroGrad();
+        grad_norm = adam.Step();
       }
 
-      epoch_loss_sum += loss.value()(0, 0);
+      epoch_loss_sum += loss;
       ++epoch_loss_count;
       epoch_processed += q_in_batch;
       if (obs::MetricsEnabled()) {
@@ -464,11 +533,14 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
         static obs::Counter* queries = reg.GetCounter("sam.train.queries");
         static obs::Histogram* step_seconds =
             reg.GetHistogram("sam.train.step_seconds");
+        static obs::Histogram* grad_norms =
+            reg.GetHistogram("sam.train.grad_norm");
         static obs::Gauge* last_loss = reg.GetGauge("sam.train.last_loss");
         steps->Add(1);
         queries->Add(q_in_batch);
         step_seconds->Observe(step_watch.ElapsedSeconds());
-        last_loss->Set(loss.value()(0, 0));
+        grad_norms->Observe(grad_norm);
+        last_loss->Set(loss);
       }
     }
     if (stop_requested) break;

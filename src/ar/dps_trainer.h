@@ -10,6 +10,8 @@
 
 namespace sam {
 
+class ThreadPool;
+
 /// \brief Options for Differentiable Progressive Sampling training (§4.1).
 struct DpsOptions {
   size_t epochs = 10;
@@ -32,6 +34,14 @@ struct DpsOptions {
   /// paper's fixed-time-frame protocol (§5.1): training stops mid-epoch when
   /// the budget is exhausted. Budget accounting survives checkpoint/resume.
   double time_budget_seconds = 0;
+
+  /// Borrowed pool for the step's shards (null: `TrainDps` owns a pool of
+  /// `hardware_concurrency` threads for the call). Each step splits its batch
+  /// into shards of a fixed query count and sums their gradients in shard
+  /// order, so the trained parameters are bit-identical for every pool size;
+  /// the pool is therefore not part of `TrainingFingerprint`, and a run may
+  /// resume under any pool size.
+  ThreadPool* pool = nullptr;
 
   // --- Fault tolerance (docs/CHECKPOINTING.md) -------------------------------
 
@@ -78,6 +88,11 @@ using DpsCallback = std::function<void(const DpsEpochStats&)>;
 ///   log|FOJ| + sum_i log P(X_i in R_i | x_<i) + sum log(1/F) (fanout scaling)
 /// and minimises the squared error against log Card(q) — a smooth,
 /// monotone-equivalent surrogate of the Q-Error objective in the paper.
+///
+/// The batch is data-parallel: each shard of a step runs forward and
+/// Backward on a tape of its own on `options.pool`, and the calling thread
+/// sums the shard gradients in shard order and takes one Adam step
+/// (docs/PERFORMANCE.md, "DPS training").
 ///
 /// Returns per-epoch stats; the model's sampler weights are synced on return.
 ///

@@ -1,5 +1,6 @@
 #include "ar/made.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -140,21 +141,80 @@ size_t MadeModel::num_parameters() const {
   return total;
 }
 
-MadeModel::MaskedWeights MadeModel::BuildMaskedWeights() const {
-  MaskedWeights mw;
+namespace {
+
+Matrix Masked(const Matrix& w, const Matrix& mask) {
+  Matrix m = w;
+  for (size_t i = 0; i < m.size(); ++i) m.data()[i] *= mask.data()[i];
+  return m;
+}
+
+}  // namespace
+
+MadeModel::MaskedValues MadeModel::BuildMaskedValues() const {
+  MaskedValues v;
   for (size_t l = 0; l < weights_.size(); ++l) {
-    mw.w.push_back(ad::Mul(weights_[l], Tensor::Constant(masks_[l])));
+    v.w.push_back(Masked(weights_[l].value(), masks_[l]));
+    v.b.push_back(biases_[l].value());
   }
-  mw.w_out = ad::Mul(w_out_, Tensor::Constant(mask_out_));
+  v.w_out = Masked(w_out_.value(), mask_out_);
+  v.b_out = b_out_.value();
   if (options_.direct_connections) {
-    mw.w_direct = ad::Mul(w_direct_, Tensor::Constant(mask_direct_));
+    v.w_direct = Masked(w_direct_.value(), mask_direct_);
+  }
+  return v;
+}
+
+MadeModel::MaskedWeights MadeModel::WrapMaskedWeights(MaskedValues values) {
+  MaskedWeights mw;
+  for (Matrix& w : values.w) mw.w.push_back(Tensor::Param(std::move(w)));
+  for (Matrix& b : values.b) mw.b.push_back(Tensor::Param(std::move(b)));
+  mw.w_out = Tensor::Param(std::move(values.w_out));
+  mw.b_out = Tensor::Param(std::move(values.b_out));
+  if (values.w_direct.size() > 0) {
+    mw.w_direct = Tensor::Param(std::move(values.w_direct));
   }
   return mw;
 }
 
+MadeModel::MaskedWeights MadeModel::BuildMaskedWeights() const {
+  return WrapMaskedWeights(BuildMaskedValues());
+}
+
+void MadeModel::ReduceGradients(const std::vector<MaskedWeights>& tapes) {
+  const kernels::KernelTable& kr = kernels::Active();
+  auto reduce = [&](Tensor& param, const Matrix* mask, auto leaf_of) {
+    Matrix& g = param.node()->grad;
+    g.Reshape(param.rows(), param.cols());
+    std::fill(g.data(), g.data() + g.size(), 0.0);
+    for (const MaskedWeights& t : tapes) {
+      const Matrix& lg = leaf_of(t).grad();
+      if (lg.size() != g.size()) continue;  // Not reached by this tape.
+      kr.vec_add(g.data(), lg.data(), g.size());
+    }
+    if (mask != nullptr) {
+      for (size_t i = 0; i < g.size(); ++i) g.data()[i] *= mask->data()[i];
+    }
+  };
+  for (size_t l = 0; l < weights_.size(); ++l) {
+    reduce(weights_[l], &masks_[l],
+           [l](const MaskedWeights& t) -> const Tensor& { return t.w[l]; });
+    reduce(biases_[l], nullptr,
+           [l](const MaskedWeights& t) -> const Tensor& { return t.b[l]; });
+  }
+  reduce(w_out_, &mask_out_,
+         [](const MaskedWeights& t) -> const Tensor& { return t.w_out; });
+  reduce(b_out_, nullptr,
+         [](const MaskedWeights& t) -> const Tensor& { return t.b_out; });
+  if (options_.direct_connections) {
+    reduce(w_direct_, &mask_direct_,
+           [](const MaskedWeights& t) -> const Tensor& { return t.w_direct; });
+  }
+}
+
 Tensor MadeModel::HiddenStack(const MaskedWeights& mw,
                               const Tensor& pre1) const {
-  Tensor h = ad::BiasRelu(pre1, biases_[0]);
+  Tensor h = ad::BiasRelu(pre1, mw.b[0]);
   for (size_t l = 1; l < mw.w.size(); ++l) {
     Tensor pre = ad::Matmul(h, mw.w[l]);
     // Residual connections between equal-width hidden layers (ResMADE). The
@@ -162,9 +222,9 @@ Tensor MadeModel::HiddenStack(const MaskedWeights& mw,
     // preserves the autoregressive masking. The fused op does
     // relu(pre + bias) (+ skip) in one pass over the activations.
     if (options_.residual && pre.cols() == h.cols()) {
-      h = ad::BiasReluSkip(pre, biases_[l], h);
+      h = ad::BiasReluSkip(pre, mw.b[l], h);
     } else {
-      h = ad::BiasRelu(pre, biases_[l]);
+      h = ad::BiasRelu(pre, mw.b[l]);
     }
   }
   return h;
@@ -177,7 +237,7 @@ Tensor MadeModel::OutputLogits(const MaskedWeights& mw, const Tensor& hidden,
   const size_t e = c.offset + c.domain_size;
   return ad::AddRowBroadcast(
       ad::Matmul(hidden, ad::SliceColumns(mw.w_out, b, e)),
-      ad::SliceColumns(b_out_, b, e));
+      ad::SliceColumns(mw.b_out, b, e));
 }
 
 Tensor MadeModel::Hidden(const MaskedWeights& mw, const Tensor& input) const {
@@ -243,23 +303,7 @@ void MadeModel::TapeObserve(const MaskedWeights& mw, TapeState* state,
 }
 
 void MadeModel::SyncSamplerWeights() {
-  cached_w_.clear();
-  for (size_t l = 0; l < weights_.size(); ++l) {
-    Matrix m = weights_[l].value();
-    const Matrix& mask = masks_[l];
-    for (size_t i = 0; i < m.size(); ++i) m.data()[i] *= mask.data()[i];
-    cached_w_.push_back(std::move(m));
-  }
-  cached_w_out_ = w_out_.value();
-  for (size_t i = 0; i < cached_w_out_.size(); ++i) {
-    cached_w_out_.data()[i] *= mask_out_.data()[i];
-  }
-  if (options_.direct_connections) {
-    cached_w_direct_ = w_direct_.value();
-    for (size_t i = 0; i < cached_w_direct_.size(); ++i) {
-      cached_w_direct_.data()[i] *= mask_direct_.data()[i];
-    }
-  }
+  sampler_ = BuildMaskedValues();
   sampler_synced_ = true;
 }
 
@@ -274,7 +318,7 @@ void MadeModel::ResetState(SamplerState* state, size_t batch) const {
   state->batch = batch;
   const size_t h1 = options_.hidden_sizes[0];
   state->pre1.Reshape(batch, h1);
-  const double* bias = biases_[0].value().data();
+  const double* bias = sampler_.b[0].data();
   for (size_t r = 0; r < batch; ++r) {
     std::copy(bias, bias + h1, state->pre1.row(r));
   }
@@ -304,16 +348,16 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
   Matrix& h = state.h;
   h.Reshape(batch, options_.hidden_sizes[0]);
   kr.relu(state.pre1.data(), h.data(), h.size());
-  for (size_t l = 1; l < cached_w_.size(); ++l) {
+  for (size_t l = 1; l < sampler_.w.size(); ++l) {
     Matrix& next = state.h_next;
-    next.Reshape(batch, cached_w_[l].cols());
+    next.Reshape(batch, sampler_.w[l].cols());
     // Dense variant: hidden activations are ~half nonzero mid-generation, and
     // at that density the zero-skip's branch mispredicts cost more than the
     // work skipped (the skip is for the one-hot training inputs).
-    kr.matmul_dense(h.data(), batch, h.cols(), cached_w_[l].data(),
-                    cached_w_[l].cols(), next.data());
+    kr.matmul_dense(h.data(), batch, h.cols(), sampler_.w[l].data(),
+                    sampler_.w[l].cols(), next.data());
     const bool skip = options_.residual && next.cols() == h.cols();
-    kr.bias_relu_skip(next.data(), biases_[l].value().data(),
+    kr.bias_relu_skip(next.data(), sampler_.b[l].data(),
                       skip ? h.data() : nullptr, batch, next.cols());
     std::swap(state.h, state.h_next);
   }
@@ -326,8 +370,8 @@ const Matrix& MadeModel::CondProbs(const SamplerState& state,
   // (+ direct). W_out and the direct accumulator are indexed at their full
   // row stride; the kernel reads only the d-wide slice of each row.
   kr.output_slice(state.h.data(), batch, state.h.cols(),
-                  cached_w_out_.data() + off, cached_w_out_.cols(),
-                  b_out_.value().data() + off,
+                  sampler_.w_out.data() + off, sampler_.w_out.cols(),
+                  sampler_.b_out.data() + off,
                   options_.direct_connections ? state.direct.data() + off
                                               : nullptr,
                   options_.direct_connections ? state.direct.cols() : 0,
@@ -350,10 +394,10 @@ void MadeModel::Observe(SamplerState* state, size_t col,
     SAM_CHECK(code >= 0 && static_cast<size_t>(code) < mc.domain_size)
         << "bad code " << code << " for column " << mc.name;
     const size_t unit = mc.offset + static_cast<size_t>(code);
-    kernels::Active().vec_add(state->pre1.row(r), cached_w_[0].row(unit), h1);
+    kernels::Active().vec_add(state->pre1.row(r), sampler_.w[0].row(unit), h1);
     if (options_.direct_connections) {
       kernels::Active().vec_add(state->direct.row(r),
-                                cached_w_direct_.row(unit), d_total);
+                                sampler_.w_direct.row(unit), d_total);
     }
   }
 }

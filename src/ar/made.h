@@ -23,7 +23,10 @@ namespace sam {
 ///  * a tape-recorded incremental path (`MaskedWeights` + `InitTape`/
 ///    `TapeLogits`/`TapeObserve`) used by the DPS trainer: each sampled
 ///    column adds its own first-layer and direct-connection contributions,
-///    so the tape never holds a full one-hot input;
+///    so the tape never holds a full one-hot input. The trainer runs one
+///    such tape per batch shard, each over its own leaves
+///    (`WrapMaskedWeights`), and `ReduceGradients` sums them into the
+///    parameters;
 ///  * a tape-recorded dense reference path (`Hidden` + `ColumnLogits`) over a
 ///    full B x total_domain input, which tests compare the incremental path
 ///    against (equal forward values bit for bit), and
@@ -57,14 +60,40 @@ class MadeModel {
 
   // --- Tape (training) paths -------------------------------------------------
 
-  /// Masked weight tensors for one training step; build once per step and
-  /// reuse so gradients accumulate across the per-column passes.
+  /// Parameter values as the network uses them: every weight matrix times
+  /// its autoregressive mask, and the biases. The trainer builds them once
+  /// per step and its shards only read them; the sampler path keeps the
+  /// values of the last `SyncSamplerWeights`.
+  struct MaskedValues {
+    std::vector<Matrix> w;  ///< Per layer (first is input layer).
+    std::vector<Matrix> b;  ///< Per hidden layer.
+    Matrix w_out;
+    Matrix b_out;
+    Matrix w_direct;        ///< Empty when direct connections off.
+  };
+  MaskedValues BuildMaskedValues() const;
+
+  /// Trainable leaves over one copy of the masked values. A tape built on
+  /// them accumulates gradients with respect to the masked weights into
+  /// these leaves only, never into the model's parameters, so shards with
+  /// leaves of their own can run Backward concurrently.
   struct MaskedWeights {
     std::vector<ad::Tensor> w;   ///< Per layer (first is input layer).
+    std::vector<ad::Tensor> b;   ///< Per hidden layer.
     ad::Tensor w_out;
+    ad::Tensor b_out;
     ad::Tensor w_direct;         ///< Undefined when direct connections off.
   };
+  static MaskedWeights WrapMaskedWeights(MaskedValues values);
+
+  /// `WrapMaskedWeights(BuildMaskedValues())`: leaves over the current
+  /// parameters for a single tape.
   MaskedWeights BuildMaskedWeights() const;
+
+  /// Sets every parameter's gradient to the sum of the matching leaf
+  /// gradients of `tapes`, added in the order of `tapes`; each weight's mask
+  /// is applied once to its sum. Leaves no tape reached count as zero.
+  void ReduceGradients(const std::vector<MaskedWeights>& tapes);
 
   /// Per-batch incremental state of the trainer's forward, the tape-recorded
   /// twin of `SamplerState`. Both accumulators start from zeros and each
@@ -101,7 +130,7 @@ class MadeModel {
 
   // --- Sampler (no-grad) path ------------------------------------------------
 
-  /// Refreshes the cached masked weight matrices used by the sampler path.
+  /// Refreshes the sampler path's copy of the masked weights and biases.
   /// Call after training (the trainer does this automatically).
   void SyncSamplerWeights();
 
@@ -176,10 +205,8 @@ class MadeModel {
   Matrix mask_out_;
   Matrix mask_direct_;
 
-  // Sampler cache: masked weight values.
-  std::vector<Matrix> cached_w_;
-  Matrix cached_w_out_;
-  Matrix cached_w_direct_;
+  // Sampler cache: the masked values as of the last SyncSamplerWeights.
+  MaskedValues sampler_;
   bool sampler_synced_ = false;
 };
 

@@ -17,24 +17,22 @@ AdamOptimizer::AdamOptimizer(std::vector<Tensor> params, Options options)
   }
 }
 
-void AdamOptimizer::Step() {
+double AdamOptimizer::Step() {
   ++t_;
+  double sq = 0.0;
+  for (auto& p : params_) {
+    if (p.grad().size() != p.value().size()) continue;
+    const double* g = p.grad().data();
+    for (size_t i = 0; i < p.grad().size(); ++i) sq += g[i] * g[i];
+  }
+  const double norm = std::sqrt(sq);
   // Optional global norm clipping across all parameters.
-  if (options_.clip_norm > 0.0) {
-    double sq = 0.0;
+  if (options_.clip_norm > 0.0 && norm > options_.clip_norm) {
+    const double scale = options_.clip_norm / norm;
     for (auto& p : params_) {
       if (p.grad().size() != p.value().size()) continue;
-      const double* g = p.grad().data();
-      for (size_t i = 0; i < p.grad().size(); ++i) sq += g[i] * g[i];
-    }
-    const double norm = std::sqrt(sq);
-    if (norm > options_.clip_norm) {
-      const double scale = options_.clip_norm / norm;
-      for (auto& p : params_) {
-        if (p.grad().size() != p.value().size()) continue;
-        double* g = p.node()->grad.data();
-        for (size_t i = 0; i < p.grad().size(); ++i) g[i] *= scale;
-      }
+      double* g = p.node()->grad.data();
+      for (size_t i = 0; i < p.grad().size(); ++i) g[i] *= scale;
     }
   }
 
@@ -55,6 +53,7 @@ void AdamOptimizer::Step() {
       w[i] -= options_.lr * mhat / (std::sqrt(vhat) + options_.eps);
     }
   }
+  return norm;
 }
 
 void AdamOptimizer::ZeroGrad() {

@@ -25,8 +25,9 @@ class AdamOptimizer {
 
   AdamOptimizer(std::vector<Tensor> params, Options options);
 
-  /// Applies one update from the accumulated gradients.
-  void Step();
+  /// Applies one update from the accumulated gradients. Returns the global
+  /// gradient L2 norm before clipping.
+  double Step();
 
   /// Clears every parameter's gradient buffer.
   void ZeroGrad();

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "linalg/kernels.h"
 
 namespace sam::ad {
@@ -368,19 +369,22 @@ Tensor SliceRows(const Tensor& a, size_t begin, size_t end) {
                 "slice_rows");
 }
 
-Tensor GumbelSoftmaxST(const Tensor& logits, double tau, Rng* rng) {
+Tensor GumbelSoftmaxST(const Tensor& logits, double tau,
+                       const Matrix& uniforms) {
   const size_t b = logits.rows();
   const size_t d = logits.cols();
+  SAM_CHECK(uniforms.rows() == b && uniforms.cols() == d);
   // Compute perturbed logits once; derive both the soft distribution (kept
   // for the backward pass) and the hard one-hot forward value from it.
   Matrix soft(b, d);
   Matrix hard(b, d);
   for (size_t r = 0; r < b; ++r) {
     const double* lg = logits.value().row(r);
+    const double* u = uniforms.row(r);
     double* srow = soft.row(r);
     double mx = -std::numeric_limits<double>::infinity();
     for (size_t c = 0; c < d; ++c) {
-      srow[c] = (lg[c] + rng->Gumbel()) / tau;
+      srow[c] = (lg[c] + GumbelOfUniform(u[c])) / tau;
       mx = std::max(mx, srow[c]);
     }
     size_t argmax = 0;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "autodiff/tensor.h"
-#include "common/random.h"
 
 namespace sam::ad {
 
@@ -65,7 +64,12 @@ Tensor SliceRows(const Tensor& a, size_t begin, size_t end);
 /// tempered softmax `y_soft = softmax((logits + g) / tau)` — the
 /// straight-through estimator used by the paper's Differentiable Progressive
 /// Sampling (§4.1).
-Tensor GumbelSoftmaxST(const Tensor& logits, double tau, Rng* rng);
+///
+/// `uniforms` (same shape as `logits`) holds one draw in [0, 1) per logit;
+/// the noise of entry (r, c) is `GumbelOfUniform(uniforms(r, c))`. Callers
+/// draw the uniforms themselves, so a tape can run on any thread while the
+/// order in which a shared `Rng` is consumed stays fixed.
+Tensor GumbelSoftmaxST(const Tensor& logits, double tau, const Matrix& uniforms);
 
 /// Elementwise reciprocal 1 / max(a, eps).
 Tensor Reciprocal(const Tensor& a, double eps = 1e-30);

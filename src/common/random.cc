@@ -36,13 +36,6 @@ Status Rng::RestoreState(const std::string& state) {
   return Status::OK();
 }
 
-double Rng::Gumbel() {
-  // -log(-log(U)) with U in (0,1); clamp away from 0 to avoid inf.
-  double u = Uniform();
-  u = std::max(u, 1e-12);
-  return -std::log(-std::log(u));
-}
-
 int64_t Rng::Zipf(int64_t n, double s) {
   if (n <= 1) return 0;
   if (s <= 1.0) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -49,9 +50,6 @@ class Rng {
     return d(engine_);
   }
 
-  /// Standard Gumbel(0,1) sample, used by the Gumbel-Softmax trick.
-  double Gumbel();
-
   /// Zipf-like skewed integer in [0, n) with exponent `s`.
   ///
   /// Uses inverse-CDF over a cached normaliser; intended for synthetic data
@@ -99,6 +97,13 @@ class Rng {
  private:
   std::mt19937_64 engine_;
 };
+
+/// Standard Gumbel(0,1) value of a uniform `u` in [0, 1): -log(-log(u)),
+/// with `u` clamped away from 0 so the result stays finite. The Gumbel-Softmax
+/// trick applies it to `Rng::Uniform` draws.
+inline double GumbelOfUniform(double u) {
+  return -std::log(-std::log(std::max(u, 1e-12)));
+}
 
 // --- Counter-based (stateless) streams --------------------------------------
 //

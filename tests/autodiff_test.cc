@@ -6,6 +6,7 @@
 #include "autodiff/adam.h"
 #include "autodiff/ops.h"
 #include "autodiff/tensor.h"
+#include "common/random.h"
 
 namespace sam::ad {
 namespace {
@@ -15,6 +16,14 @@ Matrix Make(size_t r, size_t c, std::initializer_list<double> vals) {
   size_t i = 0;
   for (double v : vals) m.data()[i++] = v;
   return m;
+}
+
+/// `rows` x `cols` Gumbel uniforms drawn from a seeded Rng.
+Matrix Uniforms(size_t rows, size_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix u(rows, cols);
+  for (size_t i = 0; i < u.size(); ++i) u.data()[i] = rng.Uniform();
+  return u;
 }
 
 /// Central-difference gradient check for a scalar function of one parameter.
@@ -136,7 +145,6 @@ TEST(OpsTest, SoftmaxRowsSumToOne) {
 }
 
 TEST(OpsTest, GumbelSoftmaxForwardIsOneHotWithinMask) {
-  Rng rng(11);
   // Mask out column 0 with a large negative logit.
   Matrix logits(8, 3);
   for (size_t r = 0; r < 8; ++r) {
@@ -145,7 +153,7 @@ TEST(OpsTest, GumbelSoftmaxForwardIsOneHotWithinMask) {
     logits(r, 2) = 1.0;
   }
   Tensor t = Tensor::Constant(std::move(logits));
-  Tensor sample = GumbelSoftmaxST(t, 1.0, &rng);
+  Tensor sample = GumbelSoftmaxST(t, 1.0, Uniforms(8, 3, 11));
   for (size_t r = 0; r < 8; ++r) {
     double sum = 0;
     for (size_t c = 0; c < 3; ++c) {
@@ -158,10 +166,9 @@ TEST(OpsTest, GumbelSoftmaxForwardIsOneHotWithinMask) {
 }
 
 TEST(OpsTest, GumbelSoftmaxBackwardRoutesGradient) {
-  Rng rng(13);
   Tensor logits = Tensor::Param(Make(1, 3, {0.2, 0.5, 0.1}));
   Tensor weights = Tensor::Constant(Make(1, 3, {1.0, 2.0, 3.0}));
-  Tensor loss = SumAll(Mul(GumbelSoftmaxST(logits, 0.7, &rng), weights));
+  Tensor loss = SumAll(Mul(GumbelSoftmaxST(logits, 0.7, Uniforms(1, 3, 13)), weights));
   loss.Backward();
   // Gradient must be nonzero somewhere (soft path) even though the forward
   // value is a hard one-hot.
@@ -194,6 +201,37 @@ TEST(AdamTest, MinimisesQuadratic) {
   }
   EXPECT_NEAR(w.value()(0, 0), 3.0, 1e-2);
   EXPECT_NEAR(w.value()(0, 1), 3.0, 1e-2);
+}
+
+TEST(OpsTest, GumbelSoftmaxPicksArgmaxOfPerturbedLogits) {
+  // The forward one-hot marks argmax(logit + GumbelOfUniform(u)) per row.
+  const Matrix logits = Make(2, 3, {0.3, -0.2, 0.1, 1.0, 0.0, -1.0});
+  const Matrix u = Uniforms(2, 3, 17);
+  Tensor sample = GumbelSoftmaxST(Tensor::Constant(logits), 0.5, u);
+  for (size_t r = 0; r < 2; ++r) {
+    size_t best = 0;
+    for (size_t c = 1; c < 3; ++c) {
+      if (logits(r, c) + GumbelOfUniform(u(r, c)) >
+          logits(r, best) + GumbelOfUniform(u(r, best))) {
+        best = c;
+      }
+    }
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(sample.value()(r, c), c == best ? 1.0 : 0.0);
+    }
+  }
+}
+
+TEST(AdamTest, StepReturnsGradNormBeforeClipping) {
+  Tensor w = Tensor::Param(Make(1, 2, {0.0, 0.0}));
+  AdamOptimizer::Options opts;
+  opts.clip_norm = 1.0;
+  AdamOptimizer adam({w}, opts);
+  adam.ZeroGrad();
+  // d/dw sum(3 w0 + 4 w1) = (3, 4): norm 5, clipped to 1 for the update.
+  SumAll(Mul(w, Tensor::Constant(Make(1, 2, {3.0, 4.0})))).Backward();
+  EXPECT_EQ(adam.Step(), 5.0);
+  EXPECT_NEAR(w.grad()(0, 0), 0.6, 1e-15);
 }
 
 TEST(AdamTest, ClipNormBoundsUpdates) {

@@ -15,6 +15,7 @@
 #include "ar/dps_trainer.h"
 #include "ar/made.h"
 #include "ar/training_checkpoint.h"
+#include "common/thread_pool.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
 #include "storage/artifact_io.h"
@@ -331,6 +332,42 @@ TEST_F(CheckpointTest, ResumeAfterMidEpochStopIsBitIdentical) {
   // The resumed half-epoch accumulators must reproduce epoch 1's exact loss.
   ASSERT_EQ(stats.ValueOrDie().size(), golden_stats.size());
   EXPECT_EQ(stats.ValueOrDie()[1].mean_loss, golden_stats[1].mean_loss);
+}
+
+TEST_F(CheckpointTest, ResumeUnderAnotherPoolSizeIsBitIdentical) {
+  // Batch 32 over 60 queries: two steps per epoch of two shards each, the
+  // last one partial. Stop mid-epoch under four threads, resume under one.
+  Env* env = SharedEnv();
+  DpsOptions base = SmallTrainOptions();
+  base.batch_size = 32;
+  ThreadPool four(4);
+  ThreadPool one(1);
+  base.pool = &four;
+  const std::vector<Matrix> golden = GoldenParams(base);
+
+  const std::string dir = TempDir("sam_resume_pool_size");
+  std::atomic<bool> stop{false};
+  DpsOptions o = base;
+  o.checkpoint_dir = dir;
+  o.stop_flag = &stop;
+  o.step_hook = [&stop](size_t epoch, size_t step) {
+    if (epoch == 1 && step == 32) stop.store(true);
+  };
+  {
+    MadeModel model(&env->schema, SmallModelOptions());
+    auto stats = TrainDps(&model, env->train, o);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats.ValueOrDie().size(), 1u);  // Only epoch 0 completed.
+  }
+
+  stop.store(false);
+  o.step_hook = nullptr;
+  o.resume = true;
+  o.pool = &one;
+  MadeModel resumed(&env->schema, SmallModelOptions());
+  auto stats = TrainDps(&resumed, env->train, o);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ExpectBitIdentical(resumed, golden);
 }
 
 TEST_F(CheckpointTest, ResumeOfCompletedRunRestoresWithoutTraining) {

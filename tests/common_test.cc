@@ -141,8 +141,9 @@ TEST(RngTest, ZipfHandlesExponentBelowOne) {
 TEST(RngTest, GumbelIsFinite) {
   Rng rng(6);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(std::isfinite(rng.Gumbel()));
+    EXPECT_TRUE(std::isfinite(GumbelOfUniform(rng.Uniform())));
   }
+  EXPECT_TRUE(std::isfinite(GumbelOfUniform(0.0)));  // Clamped, not -inf.
 }
 
 TEST(StringUtilTest, SplitKeepsEmptyFields) {

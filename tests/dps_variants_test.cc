@@ -113,33 +113,37 @@ void ExpectTapeMatchesDense(const ModelSchema& schema,
     }
     samples.push_back(std::move(m));
   }
-  auto grads_of = [&](const std::vector<ad::Tensor>& logits) {
+  auto grads_of = [&](const std::vector<ad::Tensor>& logits,
+                      const MadeModel::MaskedWeights& mw) {
     ad::Tensor loss = ad::SumAll(ad::Mul(logits[0], logits[0]));
     for (size_t col = 1; col < n; ++col) {
       loss = ad::Add(loss, ad::SumAll(ad::Mul(logits[col], logits[col])));
     }
-    for (ad::Tensor p : model.params()) p.ZeroGrad();
     loss.Backward();
+    model.ReduceGradients({mw});
     std::vector<Matrix> grads;
     for (const ad::Tensor& p : model.params()) grads.push_back(p.grad());
     return grads;
   };
 
-  // Masked weights are built per path: Backward accumulates into them too.
+  // Each path has leaves of its own; ReduceGradients carries their
+  // gradients into the parameters.
   std::vector<ad::Tensor> tape_logits;
+  const auto tape_mw = model.BuildMaskedWeights();
   {
-    const auto mw = model.BuildMaskedWeights();
+    const auto& mw = tape_mw;
     MadeModel::TapeState state = model.InitTape(batch);
     for (size_t col = 0; col < n; ++col) {
       tape_logits.push_back(model.TapeLogits(mw, state, col));
       model.TapeObserve(mw, &state, col, ad::Tensor::Constant(samples[col]));
     }
   }
-  const std::vector<Matrix> tape_grads = grads_of(tape_logits);
+  const std::vector<Matrix> tape_grads = grads_of(tape_logits, tape_mw);
 
   std::vector<ad::Tensor> dense_logits;
+  const auto dense_mw = model.BuildMaskedWeights();
   {
-    const auto mw = model.BuildMaskedWeights();
+    const auto& mw = dense_mw;
     Matrix input(batch, schema.total_domain());
     for (size_t col = 0; col < n; ++col) {
       const ad::Tensor in = ad::Tensor::Constant(input);
@@ -153,7 +157,7 @@ void ExpectTapeMatchesDense(const ModelSchema& schema,
       }
     }
   }
-  const std::vector<Matrix> dense_grads = grads_of(dense_logits);
+  const std::vector<Matrix> dense_grads = grads_of(dense_logits, dense_mw);
 
   for (size_t col = 0; col < n; ++col) {
     const Matrix& a = tape_logits[col].value();

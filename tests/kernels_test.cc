@@ -363,10 +363,10 @@ TEST(KernelParityTest, SampleFojBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(KernelParityTest, TrainDpsBitIdenticalAcrossBackends) {
-  if (!kernels::Avx2Available()) GTEST_SKIP() << "no AVX2 on this machine";
-  // Training trajectories must not depend on the backend: every kernel the
-  // tape uses is bit-identical, so the trained parameters are too.
+/// Trains the same model under the scalar and the AVX2 backend and expects
+/// bit-identical parameters: every kernel the tape uses is bit-identical, so
+/// the training trajectory must not depend on the backend.
+void ExpectTrainDpsBackendParity(size_t batch_size) {
   Database db = MakeCensusLike(400, 5);
   auto exec = Executor::Create(&db).MoveValue();
   SingleRelationWorkloadOptions wopts;
@@ -381,7 +381,7 @@ TEST(KernelParityTest, TrainDpsBitIdenticalAcrossBackends) {
   mopts.residual = true;
   DpsOptions dopts;
   dopts.epochs = 2;
-  dopts.batch_size = 16;
+  dopts.batch_size = batch_size;
 
   auto train_under = [&](Backend backend) {
     EXPECT_TRUE(kernels::SetBackend(backend));
@@ -402,6 +402,18 @@ TEST(KernelParityTest, TrainDpsBitIdenticalAcrossBackends) {
           << "parameter " << k << " entry " << i;
     }
   }
+}
+
+TEST(KernelParityTest, TrainDpsBitIdenticalAcrossBackends) {
+  if (!kernels::Avx2Available()) GTEST_SKIP() << "no AVX2 on this machine";
+  ExpectTrainDpsBackendParity(16);
+}
+
+TEST(KernelParityTest, ShardedTrainDpsBitIdenticalAcrossBackends) {
+  if (!kernels::Avx2Available()) GTEST_SKIP() << "no AVX2 on this machine";
+  // Batch 64 over 60 queries: every step runs four shards on the pool, the
+  // last one partial, and their gradients are reduced on this thread.
+  ExpectTrainDpsBackendParity(64);
 }
 
 }  // namespace

@@ -11,14 +11,14 @@
 //   serve     Always-on estimation/generation daemon (line-delimited JSON/TCP).
 //   stats     Pretty-print --metrics-out / --trace-out files from a prior run.
 //
-// Example session:
+// Example session (each command is one line; long ones are wrapped here):
 //   samdb_cli dataset  --kind=census --rows=8000 --out=/tmp/orig
 //   samdb_cli workload --db=/tmp/orig --queries=2000 --out=/tmp/train.wl
-//   samdb_cli train    --db=/tmp/orig --workload=/tmp/train.wl \
+//   samdb_cli train    --db=/tmp/orig --workload=/tmp/train.wl
 //                      --hints=census --model-out=/tmp/model.bin --epochs=8
-//   samdb_cli generate --db=/tmp/orig --workload=/tmp/train.wl \
+//   samdb_cli generate --db=/tmp/orig --workload=/tmp/train.wl
 //                      --hints=census --model=/tmp/model.bin --out=/tmp/synth
-//   samdb_cli evaluate --original=/tmp/orig --generated=/tmp/synth \
+//   samdb_cli evaluate --original=/tmp/orig --generated=/tmp/synth
 //                      --workload=/tmp/train.wl
 
 #include <algorithm>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <future>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -148,51 +147,60 @@ Result<int64_t> Executor::Cardinality(const Query& q) const {
   return Cardinality(cq, &scratch);
 }
 
+namespace {
+
+// Evaluates queries [0, n) in contiguous shards, one per pool thread; a
+// single shard (always the case when `pool` is null) runs on the calling
+// thread. `eval(i, scratch)` writes query i's result; each shard owns one
+// scratch and a disjoint slice of the output, so nothing is shared beyond
+// ParallelFor's join. A shard stops at its first error; the first error in
+// shard order is returned, which is the error of the lowest failing query
+// index. Instrumentation stays per shard, not per query: the per-query loop
+// is the hot path the <1% disabled-overhead budget protects.
+template <typename Eval>
+Status EvalInShards(size_t n, ThreadPool* pool, const Eval& eval) {
+  static obs::Counter* queries =
+      obs::MetricsRegistry::Global().GetCounter("sam.exec.queries");
+  const size_t shards =
+      pool == nullptr ? 1 : std::min(n, pool->num_threads());
+  std::vector<Status> shard_status(shards);
+  auto run_shard = [&](size_t s) {
+    obs::TraceSpan shard_span("exec/shard");
+    engine::EvalScratch scratch;
+    const size_t begin = n * s / shards;
+    const size_t end = n * (s + 1) / shards;
+    for (size_t i = begin; i < end; ++i) {
+      shard_status[s] = eval(i, &scratch);
+      if (!shard_status[s].ok()) return;
+    }
+    queries->Add(end - begin);
+  };
+  if (shards == 1) {
+    run_shard(0);
+  } else {
+    pool->ParallelFor(shards, run_shard);
+  }
+  for (const Status& st : shard_status) SAM_RETURN_NOT_OK(st);
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::vector<int64_t>> Executor::ParallelCardinality(
     const Workload& workload, size_t num_threads) const {
   obs::TraceSpan span("exec/parallel_cardinality");
   std::vector<int64_t> out(workload.size(), 0);
   if (workload.empty()) return out;
-
-  // Instrumentation stays per-shard, not per-query: the per-query loop is
-  // the hot path the <1% disabled-overhead budget protects.
-  auto eval_range = [&](size_t begin, size_t end) -> Status {
-    obs::TraceSpan shard_span("exec/shard");
-    engine::EvalScratch scratch;
-    for (size_t i = begin; i < end; ++i) {
-      SAM_ASSIGN_OR_RETURN(
-          engine::CompiledQuery cq,
-          engine::CompiledQuery::Compile(*db_, graph_, workload[i]));
-      SAM_ASSIGN_OR_RETURN(out[i], Cardinality(cq, &scratch));
-    }
-    static obs::Counter* queries =
-        obs::MetricsRegistry::Global().GetCounter("sam.exec.queries");
-    queries->Add(end - begin);
-    return Status::OK();
-  };
-
   ThreadPool pool(num_threads);
-  const size_t shards = std::min(workload.size(), pool.num_threads());
-  if (shards <= 1) {
-    SAM_RETURN_NOT_OK(eval_range(0, workload.size()));
-    return out;
-  }
-
-  // Contiguous static shards: each worker owns one scratch and one slice of
-  // the output, so no synchronisation is needed beyond the joins.
-  std::vector<Status> shard_status(shards, Status::OK());
-  std::vector<std::future<void>> futs;
-  futs.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = workload.size() * s / shards;
-    const size_t end = workload.size() * (s + 1) / shards;
-    futs.push_back(pool.Submit(
-        [&, s, begin, end] { shard_status[s] = eval_range(begin, end); }));
-  }
-  for (auto& f : futs) f.get();
-  for (const Status& st : shard_status) {
-    SAM_RETURN_NOT_OK(st);
-  }
+  SAM_RETURN_NOT_OK(EvalInShards(
+      workload.size(), &pool,
+      [&](size_t i, engine::EvalScratch* scratch) -> Status {
+        SAM_ASSIGN_OR_RETURN(
+            engine::CompiledQuery cq,
+            engine::CompiledQuery::Compile(*db_, graph_, workload[i]));
+        SAM_ASSIGN_OR_RETURN(out[i], Cardinality(cq, scratch));
+        return Status::OK();
+      }));
   return out;
 }
 
@@ -208,38 +216,12 @@ Result<std::vector<int64_t>> Executor::ParallelCardinalityCompiled(
           "ParallelCardinalityCompiled: null compiled query");
     }
   }
-
-  auto eval_range = [&](size_t begin, size_t end) -> Status {
-    engine::EvalScratch scratch;
-    for (size_t i = begin; i < end; ++i) {
-      SAM_ASSIGN_OR_RETURN(out[i], Cardinality(*queries[i], &scratch));
-    }
-    static obs::Counter* served =
-        obs::MetricsRegistry::Global().GetCounter("sam.exec.queries");
-    served->Add(end - begin);
-    return Status::OK();
-  };
-
-  const size_t shards =
-      pool == nullptr ? 1 : std::min(queries.size(), pool->num_threads());
-  if (shards <= 1) {
-    SAM_RETURN_NOT_OK(eval_range(0, queries.size()));
-    return out;
-  }
-
-  std::vector<Status> shard_status(shards, Status::OK());
-  std::vector<std::future<void>> futs;
-  futs.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t begin = queries.size() * s / shards;
-    const size_t end = queries.size() * (s + 1) / shards;
-    futs.push_back(pool->Submit(
-        [&, s, begin, end] { shard_status[s] = eval_range(begin, end); }));
-  }
-  for (auto& f : futs) f.get();
-  for (const Status& st : shard_status) {
-    SAM_RETURN_NOT_OK(st);
-  }
+  SAM_RETURN_NOT_OK(EvalInShards(
+      queries.size(), pool,
+      [&](size_t i, engine::EvalScratch* scratch) -> Status {
+        SAM_ASSIGN_OR_RETURN(out[i], Cardinality(*queries[i], scratch));
+        return Status::OK();
+      }));
   return out;
 }
 

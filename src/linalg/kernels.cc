@@ -216,12 +216,14 @@ constexpr KernelTable kScalarTable = {
     scalar::RangeMaskAnd, scalar::BitmapPopcount,
 };
 
+#if defined(SAM_SIMD_AVX2)
 bool EnvForcesScalar() {
   const char* env = std::getenv("SAM_SIMD");
   if (env == nullptr) return false;
   const std::string v(env);
   return v == "0" || v == "off" || v == "OFF" || v == "scalar";
 }
+#endif
 
 struct Dispatch {
   Backend backend;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
 #include <unordered_map>
 
 #include "ar/estimator.h"
@@ -20,10 +21,6 @@ Status ValidateSamOptions(const SamOptions& options) {
   }
   if (options.foj_samples == 0) {
     return Status::InvalidArgument("SamOptions.foj_samples must be positive");
-  }
-  if (options.sampler_threads == 0) {
-    return Status::InvalidArgument(
-        "SamOptions.sampler_threads must be positive");
   }
   if (options.memory_cap_bytes <= 0) {
     return Status::InvalidArgument(
@@ -155,43 +152,28 @@ SamModel::FojSample SamModel::SampleFojBatch(uint64_t base_seed,
 SamModel::FojSample SamModel::SampleFoj(size_t k, Rng* rng) const {
   obs::TraceSpan foj_span("generate/sample_foj");
   // `generation_batch` is validated positive in Create, but SampleFoj is
-  // callable on its own; a zero batch would loop forever below.
+  // callable on its own; a zero batch would divide by zero below.
   SAM_CHECK(options_.generation_batch > 0)
       << "generation_batch must be positive";
   FojSample out;
   out.count = k;
   out.codes.assign(schema_.num_columns(), std::vector<int32_t>(k));
 
-  // Batch start offsets.
-  std::vector<size_t> starts;
-  for (size_t start = 0; start < k; start += options_.generation_batch) {
-    starts.push_back(start);
-  }
-
   // Sampling is embarrassingly parallel (§4.2): batches are independent, and
   // every batch derives its RNG from the caller seed by batch index (via
-  // FojBatchSeed) — in the sequential path too — so the sample is
-  // bit-identical for every sampler_threads value. The model is only read.
+  // FojBatchSeed), so the sample is bit-identical to drawing its batches one
+  // by one with SampleFojBatch, whatever the pool size. The model is only
+  // read.
+  const size_t batch = options_.generation_batch;
+  const size_t batches = k / batch + (k % batch != 0);
   const uint64_t base_seed = rng->engine()();
-
-  if (options_.sampler_threads <= 1 || starts.size() <= 1) {
-    for (size_t i = 0; i < starts.size(); ++i) {
-      const size_t start = starts[i];
-      Rng batch_rng(FojBatchSeed(base_seed, i));
-      SampleFojBatchInto(&out, start,
-                         std::min(options_.generation_batch, k - start),
-                         &batch_rng);
-    }
-    return out;
-  }
-
-  ThreadPool pool(options_.sampler_threads);
-  pool.ParallelFor(starts.size(), [&](size_t i) {
-    const size_t start = starts[i];
-    Rng shard_rng(FojBatchSeed(base_seed, i));
-    SampleFojBatchInto(&out, start,
-                       std::min(options_.generation_batch, k - start),
-                       &shard_rng);
+  if (batches == 0) return out;
+  ThreadPool pool(std::min<size_t>(
+      batches, std::max(1u, std::thread::hardware_concurrency())));
+  pool.ParallelFor(batches, [&](size_t i) {
+    const size_t start = i * batch;
+    Rng batch_rng(FojBatchSeed(base_seed, i));
+    SampleFojBatchInto(&out, start, std::min(batch, k - start), &batch_rng);
   });
   return out;
 }

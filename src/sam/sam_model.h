@@ -40,11 +40,6 @@ struct SamOptions {
   /// (Alg 2's size guarantee). This threshold only gates the final fractional
   /// tuple of *unkeyed* leaf relations.
   double leftover_key_threshold = 0.5;
-  /// Worker threads for FOJ sampling (Alg 1/2 are "embarrassingly parallel",
-  /// §4.2). Every sample batch derives its RNG from `generation_seed` and
-  /// its batch index — in the sequential path too — so generation is
-  /// bit-identical for every thread count.
-  size_t sampler_threads = 1;
   uint64_t generation_seed = 999;
   /// Optional AR-ordering override: a permutation of the natural model-column
   /// layout (entry i = natural index of the column sampled at position i).
@@ -134,7 +129,11 @@ class SamModel {
     size_t count = 0;
   };
 
-  /// Samples `k` FOJ tuples from the model (step 1 of Alg 2).
+  /// Samples `k` FOJ tuples from the model (step 1 of Alg 2). Draws one seed
+  /// from `rng`, then samples its `generation_batch`-row batches in parallel
+  /// on a pool of min(batches, hardware concurrency) threads. The result is
+  /// bit-identical to concatenating `SampleFojBatch(seed, i, rows)` for
+  /// i = 0, 1, ...: it does not depend on the pool size.
   FojSample SampleFoj(size_t k, Rng* rng) const;
 
   /// RNG seed of sample batch `batch_index` for a run whose caller RNG

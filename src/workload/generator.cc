@@ -235,7 +235,10 @@ bool QueriesEqual(const Query& a, const Query& b) {
   auto key = [](const Predicate& p) {
     std::string k = p.table + "|" + p.column + "|" + PredOpToString(p.op) + "|" +
                     p.literal.ToString();
-    for (const auto& v : p.in_list) k += "," + v.ToString();
+    for (const auto& v : p.in_list) {
+      k += ',';
+      k += v.ToString();
+    }
     return k;
   };
   std::vector<std::string> ka, kb;
@@ -252,7 +255,10 @@ std::string CanonicalKey(const Query& q) {
   auto pred_key = [](const Predicate& p) {
     std::string k = p.table + "|" + p.column + "|" + PredOpToString(p.op) + "|" +
                     p.literal.ToString();
-    for (const auto& v : p.in_list) k += "," + v.ToString();
+    for (const auto& v : p.in_list) {
+      k += ',';
+      k += v.ToString();
+    }
     return k;
   };
   std::vector<std::string> keys;

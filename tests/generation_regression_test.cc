@@ -116,10 +116,6 @@ TEST(SamOptionsValidationTest, RejectsDegenerateKnobs) {
   SamOptions zero_foj;
   zero_foj.foj_samples = 0;
   EXPECT_TRUE(ValidateSamOptions(zero_foj).code() == StatusCode::kInvalidArgument);
-
-  SamOptions zero_threads;
-  zero_threads.sampler_threads = 0;
-  EXPECT_TRUE(ValidateSamOptions(zero_threads).code() == StatusCode::kInvalidArgument);
 }
 
 TEST(SamOptionsValidationTest, CreateFailsFastOnZeroGenerationBatch) {

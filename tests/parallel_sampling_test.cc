@@ -24,11 +24,39 @@ std::unique_ptr<SamModel> MakeModel(const Database& db, const Executor& exec,
   return sam;
 }
 
-TEST(ParallelSamplingTest, ShardedSamplerIsDeterministicPerThreadCount) {
+// `SampleFoj(k, rng)` must equal, column by column, the concatenation of
+// `SampleFojBatch(base_seed, i, rows)` for its batches in order: the serial
+// reference the out-of-core pipeline samples with.
+void ExpectEqualsSerialBatches(size_t k, size_t generation_batch) {
+  Database db = MakeImdbLike(200, 5);
+  auto exec = Executor::Create(&db).MoveValue();
+  SamOptions options;
+  options.generation_batch = generation_batch;
+  auto sam = MakeModel(db, *exec, options);
+
+  Rng rng(7);
+  const auto par = sam->SampleFoj(k, &rng);
+  const uint64_t base_seed = Rng(7).engine()();
+  std::vector<std::vector<int32_t>> serial(sam->schema().num_columns());
+  for (size_t i = 0, start = 0; start < k; ++i, start += generation_batch) {
+    const auto batch = sam->SampleFojBatch(
+        base_seed, i, std::min(generation_batch, k - start));
+    for (size_t c = 0; c < serial.size(); ++c) {
+      serial[c].insert(serial[c].end(), batch.codes[c].begin(),
+                       batch.codes[c].end());
+    }
+  }
+  ASSERT_EQ(par.count, k);
+  ASSERT_EQ(par.codes.size(), serial.size());
+  for (size_t c = 0; c < serial.size(); ++c) {
+    EXPECT_EQ(par.codes[c], serial[c]) << "column " << c;
+  }
+}
+
+TEST(ParallelSamplingTest, ShardedSamplerIsDeterministic) {
   Database db = MakeImdbLike(200, 3);
   auto exec = Executor::Create(&db).MoveValue();
   SamOptions options;
-  options.sampler_threads = 4;
   options.generation_batch = 128;
   auto sam = MakeModel(db, *exec, options);
 
@@ -42,30 +70,15 @@ TEST(ParallelSamplingTest, ShardedSamplerIsDeterministicPerThreadCount) {
 }
 
 TEST(ParallelSamplingTest, ParallelIsBitIdenticalToSequential) {
-  Database db = MakeImdbLike(200, 5);
-  auto exec = Executor::Create(&db).MoveValue();
-  SamOptions seq_opts;
-  seq_opts.sampler_threads = 1;
-  seq_opts.generation_batch = 256;
-  auto seq_model = MakeModel(db, *exec, seq_opts);
+  ExpectEqualsSerialBatches(/*k=*/4096, /*generation_batch=*/256);
+}
 
-  Rng r1(7);
-  const auto seq = seq_model->SampleFoj(4000, &r1);
+TEST(ParallelSamplingTest, PartialLastBatchIsBitIdenticalToSequential) {
+  ExpectEqualsSerialBatches(/*k=*/4000, /*generation_batch=*/256);
+}
 
-  // Every batch derives its RNG from the caller seed and the batch index, so
-  // the sampled codes are bit-identical for every thread count.
-  for (size_t threads : {2, 3, 8}) {
-    SamOptions par_opts = seq_opts;
-    par_opts.sampler_threads = threads;
-    auto par_model = MakeModel(db, *exec, par_opts);
-    Rng r2(7);
-    const auto par = par_model->SampleFoj(4000, &r2);
-    ASSERT_EQ(seq.count, par.count);
-    for (size_t c = 0; c < seq.codes.size(); ++c) {
-      EXPECT_EQ(seq.codes[c], par.codes[c])
-          << "column " << c << " diverges at sampler_threads=" << threads;
-    }
-  }
+TEST(ParallelSamplingTest, SubBatchSampleIsBitIdenticalToSequential) {
+  ExpectEqualsSerialBatches(/*k=*/100, /*generation_batch=*/256);
 }
 
 TEST(ParallelSamplingTest, GenerationWorksWithParallelSampler) {
@@ -75,7 +88,6 @@ TEST(ParallelSamplingTest, GenerationWorksWithParallelSampler) {
   wopts.num_queries = 120;
   auto train = GenerateMultiRelationWorkload(db, *exec, wopts).MoveValue();
   SamOptions options;
-  options.sampler_threads = 4;
   options.foj_samples = 3000;
   options.training.epochs = 2;
   auto sam =

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -98,6 +99,19 @@ class Flags {
     auto v = ParseInt64(it->second);
     if (!v.ok()) {
       return Status::InvalidArgument("--" + key + ": " + v.status().message());
+    }
+    return v;
+  }
+
+  /// Checked count flag: GetInt plus a lower bound. A value below `min`
+  /// fails with an InvalidArgument naming the flag, so a negative count is
+  /// never cast to a huge size_t.
+  Result<int64_t> GetCount(const std::string& key, int64_t fallback,
+                           int64_t min) const {
+    SAM_ASSIGN_OR_RETURN(const int64_t v, GetInt(key, fallback));
+    if (v < min) {
+      return Status::InvalidArgument("--" + key + " must be >= " +
+                                     std::to_string(min));
     }
     return v;
   }
@@ -206,23 +220,21 @@ Status ApplyNumericSpecs(const std::string& spec, SchemaHints* hints) {
 Result<SamOptions> OptionsFromFlags(const Flags& flags) {
   SamOptions options;
   int64_t v = 0;
-  SAM_ASSIGN_OR_RETURN(v, flags.GetInt("epochs", 10));
+  SAM_ASSIGN_OR_RETURN(v, flags.GetCount("epochs", 10, 1));
   options.training.epochs = static_cast<size_t>(v);
-  SAM_ASSIGN_OR_RETURN(v, flags.GetInt("batch", 64));
+  SAM_ASSIGN_OR_RETURN(v, flags.GetCount("batch", 64, 1));
   options.training.batch_size = static_cast<size_t>(v);
   SAM_ASSIGN_OR_RETURN(options.training.learning_rate,
                        flags.GetDouble("lr", 3e-3));
-  SAM_ASSIGN_OR_RETURN(v, flags.GetInt("paths", 2));
+  SAM_ASSIGN_OR_RETURN(v, flags.GetCount("paths", 2, 1));
   options.training.sample_paths = static_cast<size_t>(v);
   SAM_ASSIGN_OR_RETURN(options.training.time_budget_seconds,
                        flags.GetDouble("time-budget", 0));
   SAM_ASSIGN_OR_RETURN(v, flags.GetInt("seed", 777));
   options.training.seed = static_cast<uint64_t>(v);
-  int64_t hidden = 0;
-  SAM_ASSIGN_OR_RETURN(hidden, flags.GetInt("hidden", 48));
-  options.model.hidden_sizes = {static_cast<size_t>(hidden),
-                                static_cast<size_t>(hidden)};
-  SAM_ASSIGN_OR_RETURN(v, flags.GetInt("foj-samples", 60000));
+  SAM_ASSIGN_OR_RETURN(v, flags.GetCount("hidden", 48, 1));
+  options.model.hidden_sizes = {static_cast<size_t>(v), static_cast<size_t>(v)};
+  SAM_ASSIGN_OR_RETURN(v, flags.GetCount("foj-samples", 60000, 1));
   options.foj_samples = static_cast<size_t>(v);
   options.use_group_and_merge = !flags.GetBool("no-group-and-merge");
   SAM_ASSIGN_OR_RETURN(v, flags.GetInt("gen-seed", 999));
@@ -237,7 +249,7 @@ int CmdDataset(const Flags& flags) {
   int64_t seed_i = 0;
   int64_t rows_i = 0;
   SAM_CLI_ASSIGN(seed_i, flags.GetInt("seed", 1));
-  SAM_CLI_ASSIGN(rows_i, flags.GetInt("rows", 8000));
+  SAM_CLI_ASSIGN(rows_i, flags.GetCount("rows", 8000, 0));
   const uint64_t seed = static_cast<uint64_t>(seed_i);
   const size_t rows = static_cast<size_t>(rows_i);
   Database db;
@@ -274,7 +286,7 @@ int CmdWorkload(const Flags& flags) {
   Result<Workload> workload = Status::Internal("unset");
   int64_t n_i = 0;
   int64_t seed_i = 0;
-  SAM_CLI_ASSIGN(n_i, flags.GetInt("queries", 1000));
+  SAM_CLI_ASSIGN(n_i, flags.GetCount("queries", 1000, 0));
   SAM_CLI_ASSIGN(seed_i, flags.GetInt("seed", 100));
   const size_t n = static_cast<size_t>(n_i);
   const uint64_t seed = static_cast<uint64_t>(seed_i);
@@ -288,7 +300,7 @@ int CmdWorkload(const Flags& flags) {
     opts.num_queries = n;
     opts.seed = seed;
     int64_t max_joins = 0;
-    SAM_CLI_ASSIGN(max_joins, flags.GetInt("max-joins", 2));
+    SAM_CLI_ASSIGN(max_joins, flags.GetCount("max-joins", 2, 0));
     opts.max_joins = static_cast<size_t>(max_joins);
     workload =
         GenerateMultiRelationWorkload(db.ValueOrDie(), *exec.ValueOrDie(), opts);
@@ -298,7 +310,7 @@ int CmdWorkload(const Flags& flags) {
     opts.seed = seed;
     SAM_CLI_ASSIGN(opts.coverage_ratio, flags.GetDouble("coverage", 1.0));
     int64_t max_filters = 0;
-    SAM_CLI_ASSIGN(max_filters, flags.GetInt("max-filters", 5));
+    SAM_CLI_ASSIGN(max_filters, flags.GetCount("max-filters", 5, 0));
     opts.max_filters = static_cast<size_t>(max_filters);
     const std::string table =
         flags.Get("table", db.ValueOrDie().tables()[0].name());
@@ -352,6 +364,8 @@ int CmdLabel(const Flags& flags) {
   const std::string db_dir = flags.Get("db");
   const std::string wl_path = flags.Get("workload");
   const std::string out = flags.Get("out");
+  int64_t threads_i = 0;
+  SAM_CLI_ASSIGN(threads_i, flags.GetCount("threads", 0, 0));
   if (db_dir.empty() || wl_path.empty() || out.empty()) {
     return Fail("label: --db=DIR, --workload=FILE and --out=FILE are required");
   }
@@ -361,8 +375,6 @@ int CmdLabel(const Flags& flags) {
   if (!exec.ok()) return FailStatus(exec.status());
   auto workload = LoadWorkload(wl_path);
   if (!workload.ok()) return FailStatus(workload.status());
-  int64_t threads_i = 0;
-  SAM_CLI_ASSIGN(threads_i, flags.GetInt("threads", 0));
   auto cards = exec.ValueOrDie()->ParallelCardinality(
       workload.ValueOrDie(), static_cast<size_t>(threads_i));
   if (!cards.ok()) return FailStatus(cards.status());
@@ -388,8 +400,8 @@ int CmdTrain(const Flags& flags) {
   options.training.checkpoint_dir = flags.Get("checkpoint-dir");
   int64_t ckpt_every = 0;
   int64_t ckpt_keep = 0;
-  SAM_CLI_ASSIGN(ckpt_every, flags.GetInt("checkpoint-every", 1));
-  SAM_CLI_ASSIGN(ckpt_keep, flags.GetInt("checkpoint-keep", 2));
+  SAM_CLI_ASSIGN(ckpt_every, flags.GetCount("checkpoint-every", 1, 1));
+  SAM_CLI_ASSIGN(ckpt_keep, flags.GetCount("checkpoint-keep", 2, 0));
   options.training.checkpoint_every_epochs = static_cast<size_t>(ckpt_every);
   options.training.checkpoint_keep = static_cast<size_t>(ckpt_keep);
   options.training.resume = flags.GetBool("resume");
@@ -401,7 +413,7 @@ int CmdTrain(const Flags& flags) {
   // completed *in total* (including epochs replayed from a checkpoint). Used
   // by tests/CI to exercise the interrupt/resume path deterministically.
   int64_t stop_after = 0;
-  SAM_CLI_ASSIGN(stop_after, flags.GetInt("stop-after-epochs", 0));
+  SAM_CLI_ASSIGN(stop_after, flags.GetCount("stop-after-epochs", 0, 0));
   auto on_epoch = [stop_after](const DpsEpochStats& s) {
     std::printf("epoch %zu: loss=%.4f (%.1fs)\n", s.epoch, s.mean_loss,
                 s.seconds_elapsed);
@@ -432,18 +444,20 @@ int CmdGenerate(const Flags& flags) {
   SamOptions options;
   SAM_CLI_ASSIGN(options, OptionsFromFlags(flags));
   int64_t gen_batch = 0;
-  SAM_CLI_ASSIGN(gen_batch, flags.GetInt(
-      "gen-batch", static_cast<int64_t>(options.generation_batch)));
+  SAM_CLI_ASSIGN(gen_batch, flags.GetCount(
+      "gen-batch", static_cast<int64_t>(options.generation_batch), 1));
   options.generation_batch = static_cast<size_t>(gen_batch);
   if (flags.Has("memory-cap")) {
     int64_t cap_mib = 0;
-    SAM_CLI_ASSIGN(cap_mib, flags.GetInt("memory-cap", 0));
-    if (cap_mib < 0) return Fail("generate: --memory-cap=MiB must be >= 0");
+    SAM_CLI_ASSIGN(cap_mib, flags.GetCount("memory-cap", 0, 0));
+    if (cap_mib > (INT64_MAX >> 20)) {
+      return Fail("generate: --memory-cap=MiB is too large");
+    }
     options.memory_cap_bytes = cap_mib << 20;
   }
   SAM_CLI_ASSIGN(options.generation_checkpoint_every,
-                 flags.GetInt("checkpoint-every",
-                              options.generation_checkpoint_every));
+                 flags.GetCount("checkpoint-every",
+                                options.generation_checkpoint_every, 1));
 
   auto inputs = LoadPipelineInputs(flags);
   if (!inputs.ok()) return FailStatus(inputs.status());
@@ -486,8 +500,8 @@ int CmdGenerate(const Flags& flags) {
   popts.stop_flag = &g_stop_requested;
   int64_t stop_after_steps = 0;
   int64_t ckpt_keep = 0;
-  SAM_CLI_ASSIGN(stop_after_steps, flags.GetInt("stop-after-steps", 0));
-  SAM_CLI_ASSIGN(ckpt_keep, flags.GetInt("checkpoint-keep", 3));
+  SAM_CLI_ASSIGN(stop_after_steps, flags.GetCount("stop-after-steps", 0, 0));
+  SAM_CLI_ASSIGN(ckpt_keep, flags.GetCount("checkpoint-keep", 3, 0));
   popts.stop_after_steps = static_cast<uint64_t>(stop_after_steps);
   popts.checkpoint_keep = static_cast<size_t>(ckpt_keep);
   popts.keep_work_dir = flags.GetBool("keep-work");
@@ -586,9 +600,9 @@ int CmdEstimate(const Flags& flags) {
 
   int64_t paths = 0;
   int64_t limit_i = 0;
-  SAM_CLI_ASSIGN(paths, flags.GetInt("paths", 400));
-  SAM_CLI_ASSIGN(limit_i, flags.GetInt(
-      "limit", static_cast<int64_t>(in.workload.size())));
+  SAM_CLI_ASSIGN(paths, flags.GetCount("paths", 400, 1));
+  SAM_CLI_ASSIGN(limit_i, flags.GetCount(
+      "limit", static_cast<int64_t>(in.workload.size()), 0));
   // The whole workload sweeps through the cross-query batched estimator as
   // one call sharded over the pool (bit-identical to the old per-query loop;
   // see BatchedProgressiveEstimator's determinism contract).
@@ -652,29 +666,22 @@ int CmdServe(const Flags& flags) {
   serve::ServeOptions sopts;
   sopts.host = flags.Get("host", "127.0.0.1");
   int64_t v = 0;
-  SAM_CLI_ASSIGN(v, flags.GetInt("port", 0));
-  if (v < 0 || v > 65535) return Fail("serve: --port must be in [0, 65535]");
+  SAM_CLI_ASSIGN(v, flags.GetCount("port", 0, 0));
+  if (v > 65535) return Fail("serve: --port must be <= 65535");
   sopts.port = static_cast<int>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("queue-cap", 256));
-  if (v < 1) return Fail("serve: --queue-cap must be >= 1");
+  SAM_CLI_ASSIGN(v, flags.GetCount("queue-cap", 256, 1));
   sopts.queue_capacity = static_cast<size_t>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("batch-max", 64));
-  if (v < 1) return Fail("serve: --batch-max must be >= 1");
+  SAM_CLI_ASSIGN(v, flags.GetCount("batch-max", 64, 1));
   sopts.batch_max = static_cast<size_t>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("threads", 0));
-  if (v < 0) return Fail("serve: --threads must be >= 0");
+  SAM_CLI_ASSIGN(v, flags.GetCount("threads", 0, 0));
   sopts.worker_threads = static_cast<size_t>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("plan-cache", 256));
-  if (v < 0) return Fail("serve: --plan-cache must be >= 0");
+  SAM_CLI_ASSIGN(v, flags.GetCount("plan-cache", 256, 0));
   sopts.plan_cache_capacity = static_cast<size_t>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("timeout-ms", 30000));
-  if (v < 0) return Fail("serve: --timeout-ms must be >= 0");
+  SAM_CLI_ASSIGN(v, flags.GetCount("timeout-ms", 30000, 0));
   sopts.request_timeout_ms = v;
-  SAM_CLI_ASSIGN(v, flags.GetInt("paths", 400));
-  if (v < 1) return Fail("serve: --paths must be >= 1");
+  SAM_CLI_ASSIGN(v, flags.GetCount("paths", 400, 1));
   sopts.estimate_paths_default = static_cast<size_t>(v);
-  SAM_CLI_ASSIGN(v, flags.GetInt("watch-ms", 0));
-  if (v < 0) return Fail("serve: --watch-ms must be >= 0");
+  SAM_CLI_ASSIGN(v, flags.GetCount("watch-ms", 0, 0));
   if (v > 0) {
     sopts.model_path = model_path;
     sopts.watch_interval_ms = v;

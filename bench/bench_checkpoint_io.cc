@@ -1,32 +1,31 @@
-// Micro benchmarks (google-benchmark) for the fault-tolerance layer:
-// checkpoint write/load throughput across snapshot sizes, the CRC32 core,
-// and atomic file commits. Guards the per-epoch checkpoint overhead — the
-// write path sits inside the training loop, so a regression here slows
-// every checkpointed run.
+// bench_checkpoint_io — throughput of the fault-tolerance layer: checkpoint
+// save and load across snapshot sizes, the CRC32 core, and atomic file
+// commits. Guards the per-epoch checkpoint overhead — the write path sits
+// inside the training loop, so a regression here slows every checkpointed
+// run.
+//
+// Each number is the median of bench::MedianSeconds samples, in MB/s.
+// Results go to stdout and to BENCH_checkpoint_io.json through
+// bench::WriteBenchJson. Files live in a per-run temp directory.
+//
+// Flags:
+//   --smoke   only the smallest size of each probe, 3 samples (CI)
 
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "ar/training_checkpoint.h"
+#include "bench_common.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "linalg/matrix.h"
 #include "storage/artifact_io.h"
 
 namespace sam {
 namespace {
-
-std::string BenchDir() {
-  static const std::string dir = [] {
-    const auto d = std::filesystem::temp_directory_path() / "sam_bench_ckpt";
-    std::filesystem::remove_all(d);
-    std::filesystem::create_directories(d);
-    return d.string();
-  }();
-  return dir;
-}
 
 /// A synthetic checkpoint whose parameter payload totals roughly
 /// `param_doubles` doubles — the knob that dominates snapshot size.
@@ -55,55 +54,61 @@ TrainingCheckpoint MakeCheckpoint(size_t param_doubles) {
   return c;
 }
 
-void BM_CheckpointSave(benchmark::State& state) {
-  const TrainingCheckpoint c = MakeCheckpoint(static_cast<size_t>(state.range(0)));
-  const std::string path = BenchDir() + "/save.ckpt";
-  size_t bytes = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(c.Save(path));
-    bytes = std::filesystem::file_size(path);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(bytes) * state.iterations());
-}
-BENCHMARK(BM_CheckpointSave)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
+int Run(int argc, char** argv) {
+  const Flags flags(argc, argv, 1);
+  const bool smoke = flags.GetBool("smoke");
+  bench::ExitOnUnreadFlags(flags);
+  const size_t samples = smoke ? 3 : 11;
+  // Smoke mode keeps only the first (smallest) size of each probe.
+  auto sizes = [smoke](std::vector<size_t> all) {
+    if (smoke) all.resize(1);
+    return all;
+  };
+  const bench::ScratchDir dir("bench_ckpt");
+  std::vector<bench::BenchRecord> records;
+  auto report = [&records](const std::string& metric, size_t bytes,
+                           double sec) {
+    const double mb_per_s = static_cast<double>(bytes) / sec * 1e-6;
+    std::printf("%-36s %10.1f MB/s\n", metric.c_str(), mb_per_s);
+    records.push_back({metric, mb_per_s, "MB/s", {}});
+  };
 
-void BM_CheckpointLoad(benchmark::State& state) {
-  const TrainingCheckpoint c = MakeCheckpoint(static_cast<size_t>(state.range(0)));
-  const std::string path = BenchDir() + "/load.ckpt";
-  if (!c.Save(path).ok()) {
-    state.SkipWithError("checkpoint save failed");
-    return;
+  for (const size_t n : sizes({10'000, 100'000, 1'000'000})) {
+    const TrainingCheckpoint c = MakeCheckpoint(n);
+    const std::string path = dir.path() + "/c.ckpt";
+    const double save_s = bench::MedianSeconds(
+        [&] { SAM_CHECK(c.Save(path).ok()); }, samples);
+    const size_t bytes = std::filesystem::file_size(path);
+    report("checkpoint.save.d" + std::to_string(n), bytes, save_s);
+    const double load_s = bench::MedianSeconds(
+        [&] { SAM_CHECK(TrainingCheckpoint::Load(path).ok()); }, samples);
+    report("checkpoint.load.d" + std::to_string(n), bytes, load_s);
   }
-  const size_t bytes = std::filesystem::file_size(path);
-  for (auto _ : state) {
-    auto loaded = TrainingCheckpoint::Load(path);
-    benchmark::DoNotOptimize(loaded);
+  for (const size_t n : sizes({4 << 10, 1 << 20, 16 << 20})) {
+    const std::string data(n, 'x');
+    uint32_t crc = 0;
+    const double sec = bench::MedianSeconds(
+        [&] { crc ^= Crc32(data.data(), data.size()); }, samples);
+    report("crc32.b" + std::to_string(n), n, sec);
   }
-  state.SetBytesProcessed(static_cast<int64_t>(bytes) * state.iterations());
-}
-BENCHMARK(BM_CheckpointLoad)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
+  for (const size_t n : sizes({64 << 10, 4 << 20})) {
+    const std::string contents(n, 'y');
+    const std::string path = dir.path() + "/atomic.bin";
+    const double sec = bench::MedianSeconds(
+        [&] { SAM_CHECK(AtomicWriteFile(path, contents).ok()); }, samples);
+    report("atomic_write.b" + std::to_string(n), n, sec);
+  }
 
-void BM_Crc32(benchmark::State& state) {
-  const std::string data(static_cast<size_t>(state.range(0)), 'x');
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
+  const Status written = bench::WriteBenchJson("BENCH_checkpoint_io.json",
+                                               "checkpoint_io", records);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+    return 1;
   }
-  state.SetBytesProcessed(static_cast<int64_t>(data.size()) * state.iterations());
+  return 0;
 }
-BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20)->Arg(16 << 20);
-
-void BM_AtomicWriteFile(benchmark::State& state) {
-  const std::string contents(static_cast<size_t>(state.range(0)), 'y');
-  const std::string path = BenchDir() + "/atomic.bin";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(AtomicWriteFile(path, contents));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(contents.size()) *
-                          state.iterations());
-}
-BENCHMARK(BM_AtomicWriteFile)->Arg(64 << 10)->Arg(4 << 20);
 
 }  // namespace
 }  // namespace sam
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return sam::Run(argc, argv); }

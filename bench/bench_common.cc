@@ -1,47 +1,158 @@
 #include "bench_common.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <filesystem>
+#include <random>
+#include <thread>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "datasets/datasets.h"
+#include "obs/json.h"
+#include "storage/artifact_io.h"
 #include "workload/generator.h"
 
 namespace sam::bench {
 
-BenchConfig ParseArgs(int argc, char** argv) {
-  BenchConfig config;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale=paper") {
-      config.paper_scale = true;
-    } else if (arg == "--scale=small") {
-      config.paper_scale = false;
-    } else if (StartsWith(arg, "--seed=")) {
-      config.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (StartsWith(arg, "--epochs=")) {
-      config.epochs_override = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    } else if (StartsWith(arg, "--paths=")) {
-      config.paths_override = std::strtoull(arg.c_str() + 8, nullptr, 10);
-    } else if (StartsWith(arg, "--lr=")) {
-      config.lr_override = std::strtod(arg.c_str() + 5, nullptr);
-    } else if (StartsWith(arg, "--repeats=")) {
-      config.repeats = static_cast<int>(std::strtol(arg.c_str() + 10, nullptr, 10));
-    } else if (StartsWith(arg, "--threads=")) {
-      config.threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
-    } else if (StartsWith(arg, "--metrics-out=")) {
-      config.metrics_out = arg.substr(14);
-    } else if (StartsWith(arg, "--trace-out=")) {
-      config.trace_out = arg.substr(12);
-    } else if (StartsWith(arg, "--benchmark")) {
-      // Allow google-benchmark flags to pass through harness binaries.
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (expected --scale=, --seed=)\n",
-                   arg.c_str());
-    }
+namespace {
+
+template <typename T>
+T OrExit(Result<T> value) {
+  if (!value.ok()) {
+    std::fprintf(stderr, "error: %s\n", value.status().ToString().c_str());
+    std::exit(2);
   }
+  return value.MoveValue();
+}
+
+double ProcessCpuSeconds() {
+  struct rusage ru;
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
+  auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(ru.ru_utime) + seconds(ru.ru_stime);
+}
+
+}  // namespace
+
+BenchConfig ParseArgs(int argc, char** argv) {
+  const Flags flags(argc, argv, 1);
+  BenchConfig config;
+  const std::string scale = flags.Get("scale", "small");
+  if (scale != "small" && scale != "paper") {
+    std::fprintf(stderr, "error: --scale must be small or paper\n");
+    std::exit(2);
+  }
+  config.paper_scale = scale == "paper";
+  config.seed = static_cast<uint64_t>(OrExit(flags.GetInt("seed", 1)));
+  config.epochs_override = CountFlag(flags, "epochs", 0, 0);
+  config.paths_override = CountFlag(flags, "paths", 0, 0);
+  config.lr_override = DoubleFlag(flags, "lr", 0);
+  config.repeats = static_cast<int>(CountFlag(flags, "repeats", 3, 1));
+  config.threads = CountFlag(flags, "threads", 0, 0);
+  config.metrics_out = flags.Get("metrics-out");
+  config.trace_out = flags.Get("trace-out");
+  ExitOnUnreadFlags(flags);
   return config;
+}
+
+size_t CountFlag(const Flags& flags, const std::string& key, size_t fallback,
+                 int64_t min) {
+  return static_cast<size_t>(
+      OrExit(flags.GetCount(key, static_cast<int64_t>(fallback), min)));
+}
+
+double DoubleFlag(const Flags& flags, const std::string& key, double fallback) {
+  return OrExit(flags.GetDouble(key, fallback));
+}
+
+void ExitOnUnreadFlags(const Flags& flags) {
+  const std::vector<std::string> unread = flags.Unread();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+  }
+  if (!unread.empty()) std::exit(2);
+}
+
+CpuWallTimer::CpuWallTimer() : cpu_start_(ProcessCpuSeconds()) {}
+
+Timing CpuWallTimer::Elapsed() const {
+  return Timing{wall_.ElapsedSeconds(), ProcessCpuSeconds() - cpu_start_};
+}
+
+double MedianSeconds(const std::function<void()>& body, size_t samples) {
+  constexpr double kMinSampleSeconds = 1e-2;
+  Stopwatch warmup;
+  body();
+  const double first = warmup.ElapsedSeconds();
+  const size_t calls =
+      static_cast<size_t>(kMinSampleSeconds / std::max(first, 1e-9)) + 1;
+  std::vector<double> per_call(std::max<size_t>(samples, 1));
+  for (double& t : per_call) {
+    Stopwatch watch;
+    for (size_t i = 0; i < calls; ++i) body();
+    t = watch.ElapsedSeconds() / static_cast<double>(calls);
+  }
+  std::nth_element(per_call.begin(), per_call.begin() + per_call.size() / 2,
+                   per_call.end());
+  return per_call[per_call.size() / 2];
+}
+
+Status WriteBenchJson(const std::string& path, const std::string& bench,
+                      const std::vector<BenchRecord>& records) {
+  if (path.empty()) return Status::OK();
+  auto number = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    return std::string(buf);
+  };
+  std::string out = "{\"bench\": \"" + obs::EscapeJson(bench) +
+                    "\", \"hw_threads\": " +
+                    std::to_string(std::thread::hardware_concurrency()) +
+                    ", \"backend\": \"" +
+                    BackendName(kernels::ActiveBackend()) +
+                    "\", \"records\": [";
+  for (size_t i = 0; i < records.size(); ++i) {
+    const BenchRecord& r = records[i];
+    out += i == 0 ? "\n  " : ",\n  ";
+    out += "{\"metric\": \"" + obs::EscapeJson(r.metric) +
+           "\", \"value\": " + number(r.value) + ", \"unit\": \"" +
+           obs::EscapeJson(r.unit) + "\"";
+    if (r.timing.wall_s > 0) {
+      out += ", \"wall_s\": " + number(r.timing.wall_s) +
+             ", \"cpu_s\": " + number(r.timing.cpu_s);
+    }
+    out += "}";
+  }
+  out += "]}\n";
+  SAM_RETURN_NOT_OK(AtomicWriteFile(path, out));
+  std::printf("wrote %s\n", path.c_str());
+  return Status::OK();
+}
+
+const char* BackendName(kernels::Backend backend) {
+  return backend == kernels::Backend::kAvx2 ? "avx2" : "scalar";
+}
+
+ScratchDir::ScratchDir(const std::string& tag) {
+  std::random_device rd;
+  const auto d = std::filesystem::temp_directory_path() /
+                 ("sam_" + tag + "_" + std::to_string(::getpid()) + "_" +
+                  std::to_string(rd() % 100000));
+  std::filesystem::create_directories(d);
+  path_ = d.string();
+}
+
+ScratchDir::~ScratchDir() {
+  std::error_code ec;
+  std::filesystem::remove_all(path_, ec);
 }
 
 void InitObservability(const BenchConfig& config) {

@@ -6,16 +6,23 @@
 //   --seed=<n>            master seed
 // Sizes at --scale=paper approach the paper's workload counts; the default
 // keeps every binary in the seconds-to-minutes range on a laptop CPU.
+//
+// Every harness reads all its flags before any work through `Flags`; a
+// malformed flag, a count below its minimum or a flag no harness reads is
+// named on stderr and the harness exits 2.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "ar/model_schema.h"
+#include "common/flags.h"
 #include "common/result.h"
 #include "common/stopwatch.h"
 #include "engine/executor.h"
+#include "linalg/kernels.h"
 #include "metrics/metrics.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -44,7 +51,81 @@ struct BenchConfig {
   std::string trace_out;
 };
 
+/// Reads the flags above plus --epochs --paths --lr --repeats --threads
+/// --metrics-out --trace-out; exits 2 on any bad or unknown flag.
 BenchConfig ParseArgs(int argc, char** argv);
+
+/// Checked flag access for harnesses with flags of their own: a malformed
+/// value, or a count below `min`, is named on stderr and the harness exits 2.
+size_t CountFlag(const Flags& flags, const std::string& key, size_t fallback,
+                 int64_t min);
+double DoubleFlag(const Flags& flags, const std::string& key, double fallback);
+
+/// Names every flag no accessor read and exits 2 if there is one. Call once
+/// all flags are read, before any work.
+void ExitOnUnreadFlags(const Flags& flags);
+
+/// Wall and process-CPU seconds of one timed region.
+struct Timing {
+  double wall_s = 0;
+  /// User + system CPU of every thread of this process
+  /// (`getrusage(RUSAGE_SELF)`). A multi-threaded region whose cpu/wall is
+  /// near 1 had its threads waiting rather than computing.
+  double cpu_s = 0;
+};
+
+/// \brief Stopwatch that reads process CPU time beside wall time.
+class CpuWallTimer {
+ public:
+  CpuWallTimer();
+  Timing Elapsed() const;
+
+ private:
+  Stopwatch wall_;
+  double cpu_start_;
+};
+
+/// Median wall seconds of one `body()` call over `samples` timed samples.
+/// An untimed first call warms up and sets how many calls one sample runs,
+/// so that a sample lasts at least 10 ms even for tiny bodies.
+double MedianSeconds(const std::function<void()>& body, size_t samples);
+
+/// One flat harness result: `value` in `unit`, plus the timing of the
+/// region that produced it (all zero when the value is not a timing).
+struct BenchRecord {
+  std::string metric;
+  double value = 0;
+  std::string unit;
+  Timing timing;
+};
+
+/// Writes `records` to `path` as one JSON object together with the
+/// machine's hardware thread count and the active kernel backend:
+///   {"bench": ..., "hw_threads": N, "backend": ..., "records": [{"metric":
+///     ..., "value": ..., "unit": ..., "wall_s": ..., "cpu_s": ...}, ...]}
+/// `wall_s`/`cpu_s` are omitted for records without timing. An empty
+/// `path` writes nothing.
+Status WriteBenchJson(const std::string& path, const std::string& bench,
+                      const std::vector<BenchRecord>& records);
+
+/// "avx2" or "scalar".
+const char* BackendName(kernels::Backend backend);
+
+/// \brief Unique per-run working directory under the system temp dir,
+/// removed on destruction, so concurrent runs never share files.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag);
+  ~ScratchDir();
+
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Turns tracing/metrics collection on per the config. Call once at the top
 /// of a bench main, and `FinishObservability` before exit to flush the files.

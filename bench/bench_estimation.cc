@@ -13,8 +13,9 @@
 // never come from answering a different question.
 //
 // Results go to stdout and (machine-readable, for cross-PR perf tracking) to
-// --json-out, default BENCH_estimation.json: queries/sec per coalesced batch
-// size, kernel backend, thread count.
+// --json-out, default BENCH_estimation.json, through bench::WriteBenchJson:
+// queries/sec per coalesced batch size and thread count, each timed phase
+// with its wall and process-CPU seconds (cpu/wall is also printed).
 //
 // Flags:
 //   --smoke         tiny sizes (CI)
@@ -27,10 +28,7 @@
 //                   report only); the CI gate uses a conservative threshold
 //   --json-out=F    output file ("" disables; default BENCH_estimation.json)
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,6 +37,7 @@
 #include "ar/batched_estimator.h"
 #include "ar/estimator.h"
 #include "ar/made.h"
+#include "bench_common.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "datasets/datasets.h"
@@ -50,50 +49,26 @@ namespace sam {
 namespace {
 
 struct Args {
-  bool smoke = false;
-  size_t rows = 4000;
-  size_t queries = 128;
-  size_t paths = 200;
-  size_t threads = 0;  // 0 = hardware concurrency.
-  double min_speedup = 0;
-  std::string json_out = "BENCH_estimation.json";
+  size_t rows;
+  size_t queries;
+  size_t paths;
+  size_t threads;  // 0 = hardware concurrency.
+  double min_speedup;
+  std::string json_out;
 };
 
 Args ParseArgs(int argc, char** argv) {
+  const Flags flags(argc, argv, 1);
+  const bool smoke = flags.GetBool("smoke");
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (arg == "--smoke") {
-      args.smoke = true;
-      args.queries = 48;
-      args.paths = 64;
-    } else if (const char* v = value("--rows=")) {
-      args.rows = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--queries=")) {
-      args.queries = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--paths=")) {
-      args.paths = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--threads=")) {
-      args.threads = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--min-speedup=")) {
-      args.min_speedup = std::atof(v);
-    } else if (const char* v = value("--json-out=")) {
-      args.json_out = v;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  args.rows = bench::CountFlag(flags, "rows", 4000, 1);
+  args.queries = bench::CountFlag(flags, "queries", smoke ? 48 : 128, 1);
+  args.paths = bench::CountFlag(flags, "paths", smoke ? 64 : 200, 1);
+  args.threads = bench::CountFlag(flags, "threads", 0, 0);
+  args.min_speedup = bench::DoubleFlag(flags, "min-speedup", 0);
+  args.json_out = flags.Get("json-out", "BENCH_estimation.json");
+  bench::ExitOnUnreadFlags(flags);
   return args;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 int Run(int argc, char** argv) {
@@ -110,16 +85,7 @@ int Run(int argc, char** argv) {
   SAM_CHECK(workload.ok()) << workload.status().ToString();
   const Workload& queries = workload.ValueOrDie();
 
-  SchemaHints hints;
-  hints.numeric_columns = {"census.age", "census.education_num",
-                           "census.capital_gain", "census.capital_loss",
-                           "census.hours_per_week"};
-  hints.numeric_bounds["census.age"] = {17, 90};
-  hints.numeric_bounds["census.education_num"] = {1, 16};
-  hints.numeric_bounds["census.capital_gain"] = {0, 61000};
-  hints.numeric_bounds["census.capital_loss"] = {0, 10000};
-  hints.numeric_bounds["census.hours_per_week"] = {1, 99};
-  auto schema = ModelSchema::Build(db, queries, hints,
+  auto schema = ModelSchema::Build(db, queries, bench::CensusHints(),
                                    static_cast<int64_t>(args.rows));
   SAM_CHECK(schema.ok()) << schema.status().ToString();
   MadeModel::Options mopts;
@@ -131,8 +97,7 @@ int Run(int argc, char** argv) {
       args.threads > 0 ? args.threads
                        : std::max(1u, std::thread::hardware_concurrency());
   ThreadPool pool(threads);
-  const char* backend =
-      kernels::ActiveBackend() == kernels::Backend::kAvx2 ? "avx2" : "scalar";
+  const char* backend = bench::BackendName(kernels::ActiveBackend());
 
   std::printf("bench_estimation: %zu queries x %zu paths, census rows=%zu, "
               "backend=%s, threads=%zu\n",
@@ -142,28 +107,28 @@ int Run(int argc, char** argv) {
   // serial (a per-request serve dispatch or a per-query sweep loop).
   ProgressiveEstimator baseline(&model, args.paths);
   std::vector<double> expected(queries.size());
-  const auto tb = std::chrono::steady_clock::now();
+  const bench::CpuWallTimer tb;
   for (size_t i = 0; i < queries.size(); ++i) {
     auto est = baseline.EstimateCardinality(queries[i]);
     SAM_CHECK(est.ok()) << est.status().ToString();
     expected[i] = est.ValueOrDie();
   }
-  const double baseline_s = SecondsSince(tb);
-  const double baseline_qps = static_cast<double>(queries.size()) / baseline_s;
-  std::printf("%-26s %9.1f queries/s\n", "baseline (per-query)", baseline_qps);
+  const bench::Timing baseline_t = tb.Elapsed();
+  const double baseline_qps =
+      static_cast<double>(queries.size()) / baseline_t.wall_s;
+  std::printf("%-26s %9.1f queries/s         cpu/wall %.2f\n",
+              "baseline (per-query)", baseline_qps,
+              baseline_t.cpu_s / baseline_t.wall_s);
 
-  struct Config {
-    size_t coalesced;
-    double qps;
-    double speedup;
-  };
-  std::vector<Config> configs;
+  std::vector<bench::BenchRecord> records = {
+      {"threads", static_cast<double>(threads), "threads", {}},
+      {"baseline_qps", baseline_qps, "queries/s", baseline_t}};
   BatchedProgressiveEstimator batched(&model);
   double gated_speedup = 0;  // Best ratio at >= 8 coalesced queries.
   for (size_t k : {size_t{1}, size_t{8}, size_t{64}}) {
     if (k > queries.size()) continue;
     std::vector<double> got(queries.size());
-    const auto t0 = std::chrono::steady_clock::now();
+    const bench::CpuWallTimer t0;
     for (size_t base = 0; base < queries.size(); base += k) {
       const size_t n = std::min(k, queries.size() - base);
       const std::vector<Query> group(queries.begin() + base,
@@ -173,7 +138,7 @@ int Run(int argc, char** argv) {
       std::copy(ests.ValueOrDie().begin(), ests.ValueOrDie().end(),
                 got.begin() + base);
     }
-    const double seconds = SecondsSince(t0);
+    const bench::Timing t = t0.Elapsed();
     // Bit-identity assertion: a batched sweep that answers a different
     // question than the per-query baseline is a bug, not a speedup.
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -185,37 +150,22 @@ int Run(int argc, char** argv) {
         return 1;
       }
     }
-    Config c;
-    c.coalesced = k;
-    c.qps = static_cast<double>(queries.size()) / seconds;
-    c.speedup = c.qps / baseline_qps;
-    configs.push_back(c);
-    if (k >= 8 && c.speedup > gated_speedup) gated_speedup = c.speedup;
-    std::printf("batched (coalesced=%-3zu)    %9.1f queries/s  %5.2fx\n", k,
-                c.qps, c.speedup);
+    const double qps = static_cast<double>(queries.size()) / t.wall_s;
+    const double speedup = qps / baseline_qps;
+    if (k >= 8 && speedup > gated_speedup) gated_speedup = speedup;
+    std::printf("batched (coalesced=%-3zu)    %9.1f queries/s  %5.2fx  "
+                "cpu/wall %.2f\n",
+                k, qps, speedup, t.cpu_s / t.wall_s);
+    const std::string name = "batched_c" + std::to_string(k);
+    records.push_back({name + "_qps", qps, "queries/s", t});
+    records.push_back({name + "_speedup", speedup, "x", {}});
   }
 
-  if (!args.json_out.empty()) {
-    FILE* f = std::fopen(args.json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\"bench\": \"estimation\", \"backend\": \"%s\", "
-                 "\"threads\": %zu, \"rows\": %zu, \"queries\": %zu, "
-                 "\"paths\": %zu, \"baseline_qps\": %.1f, \"configs\": [",
-                 backend, threads, args.rows, queries.size(), args.paths,
-                 baseline_qps);
-    for (size_t i = 0; i < configs.size(); ++i) {
-      std::fprintf(f,
-                   "%s{\"coalesced\": %zu, \"qps\": %.1f, \"speedup\": %.3f}",
-                   i == 0 ? "" : ", ", configs[i].coalesced, configs[i].qps,
-                   configs[i].speedup);
-    }
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", args.json_out.c_str());
+  const Status written =
+      bench::WriteBenchJson(args.json_out, "estimation", records);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+    return 1;
   }
 
   if (args.min_speedup > 0 && gated_speedup < args.min_speedup) {

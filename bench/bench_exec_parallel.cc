@@ -7,12 +7,10 @@
 // Flags: --scale=small|paper --seed=N --repeats=N --threads=N
 
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "engine/compiled_query.h"
 
 namespace sam::bench {

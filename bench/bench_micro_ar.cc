@@ -1,23 +1,37 @@
-// Micro benchmarks (google-benchmark) for the hot paths of the AR model and
-// the execution engine: conditional-distribution evaluation, FOJ sampling
-// throughput, DPS training steps, and cardinality evaluation.
+// bench_micro_ar — kernel-level probes no other harness covers, each run
+// with the kernel backend pinned to scalar and to AVX2 in one binary:
+//   made.cond_probs   MADE conditional distribution of the last column on a
+//                     sampler state with every other column observed (dense
+//                     hidden activations, as mid-generation), rows/s;
+//   kernel.matmul     square dense matmul, GFLOP/s;
+//   engine.eval       census predicate evaluation (Executor::Cardinality
+//                     over a 256-query workload), queries/s.
+// Each number is the median of 11 timed samples (bench::MedianSeconds).
+// AVX2 probes are skipped when the build or the CPU lacks AVX2. Progressive
+// and batched estimation are timed by bench_estimation, DPS steps by
+// samdb_bench, and workload evaluation by bench_exec_parallel.
+//
+// Results go to stdout and to BENCH_micro_ar.json through
+// bench::WriteBenchJson. Takes no flags.
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
-#include "ar/batched_estimator.h"
-#include "ar/dps_trainer.h"
-#include "ar/estimator.h"
-#include "common/thread_pool.h"
 #include "ar/made.h"
+#include "bench_common.h"
 #include "common/logging.h"
+#include "common/random.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
 #include "linalg/kernels.h"
-#include "sam/sam_model.h"
 #include "workload/generator.h"
 
 namespace sam {
 namespace {
+
+constexpr size_t kSamples = 11;
 
 struct CensusFixture {
   CensusFixture() {
@@ -27,17 +41,8 @@ struct CensusFixture {
     wopts.num_queries = 256;
     train = GenerateSingleRelationWorkload(*db, "census", *exec, wopts)
                 .MoveValue();
-    SchemaHints hints;
-    hints.numeric_columns = {"census.age", "census.education_num",
-                             "census.capital_gain", "census.capital_loss",
-                             "census.hours_per_week"};
-    hints.numeric_bounds["census.age"] = {17, 90};
-    hints.numeric_bounds["census.education_num"] = {1, 16};
-    hints.numeric_bounds["census.capital_gain"] = {0, 61000};
-    hints.numeric_bounds["census.capital_loss"] = {0, 10000};
-    hints.numeric_bounds["census.hours_per_week"] = {1, 99};
     schema = std::make_unique<ModelSchema>(
-        ModelSchema::Build(*db, train, hints, 4000).MoveValue());
+        ModelSchema::Build(*db, train, bench::CensusHints(), 4000).MoveValue());
     MadeModel::Options mopts;
     mopts.hidden_sizes = {64, 64};
     model = std::make_unique<MadeModel>(schema.get(), mopts);
@@ -51,27 +56,9 @@ struct CensusFixture {
   std::unique_ptr<MadeModel> model;
 };
 
-CensusFixture& Fixture() {
-  static CensusFixture* fixture = new CensusFixture();
-  return *fixture;
-}
-
-void BM_MadeCondProbs(benchmark::State& state) {
-  auto& f = Fixture();
-  const size_t batch = static_cast<size_t>(state.range(0));
-  MadeModel::SamplerState s = f.model->InitState(batch);
-  for (auto _ : state) {
-    const Matrix& probs = f.model->CondProbs(s, 0);
-    benchmark::DoNotOptimize(probs.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_MadeCondProbs)->Arg(64)->Arg(512)->Arg(2048);
-
 // Sampler state with every column but the last observed (random in-domain
-// codes): the hidden activations are dense the way they are mid-generation.
-// A fresh InitState has pre1 == bias == 0, so benchmarking column 0 on it
-// only exercises the zero-skip path of the matmul.
+// codes). A fresh InitState has pre1 == bias == 0, so timing column 0 on it
+// would only exercise the zero-skip path of the matmul.
 MadeModel::SamplerState ObservedState(const CensusFixture& f, size_t batch) {
   MadeModel::SamplerState s = f.model->InitState(batch);
   Rng rng(99);
@@ -85,170 +72,71 @@ MadeModel::SamplerState ObservedState(const CensusFixture& f, size_t batch) {
   return s;
 }
 
-// Same forward pass, backend pinned per benchmark: the scalar/AVX2 delta is
-// the headline number of docs/PERFORMANCE.md. The AVX2 variant reports an
-// error and exits early when the build or CPU lacks AVX2.
-void BM_MadeCondProbsBackend(benchmark::State& state, kernels::Backend b) {
-  if (b == kernels::Backend::kAvx2 && !kernels::Avx2Available()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
+void Report(std::vector<bench::BenchRecord>* records, const std::string& metric,
+            double value, const char* unit) {
+  std::printf("%-36s %12.4g %s\n", metric.c_str(), value, unit);
+  records->push_back({metric, value, unit, {}});
+}
+
+/// Runs every probe with the active backend; `name` tags the metrics.
+void RunProbes(const CensusFixture& f, const std::string& name,
+               std::vector<bench::BenchRecord>* records) {
+  for (const size_t batch : {size_t{512}, size_t{2048}}) {
+    const MadeModel::SamplerState s = ObservedState(f, batch);
+    const size_t last_col = f.schema->num_columns() - 1;
+    const double sec = bench::MedianSeconds(
+        [&] { f.model->CondProbs(s, last_col); }, kSamples);
+    Report(records, "made.cond_probs." + name + ".b" + std::to_string(batch),
+           static_cast<double>(batch) / sec, "rows/s");
   }
-  auto& f = Fixture();
+  const kernels::KernelTable& table = kernels::Table(kernels::ActiveBackend());
+  for (const size_t n : {size_t{64}, size_t{256}}) {
+    std::vector<double> a(n * n, 1.5), b(n * n, -0.75), c(n * n);
+    const double sec = bench::MedianSeconds(
+        [&] { table.matmul(a.data(), n, n, b.data(), n, c.data()); }, kSamples);
+    Report(records, "kernel.matmul." + name + ".n" + std::to_string(n),
+           2.0 * static_cast<double>(n * n * n) / sec * 1e-9, "GFLOP/s");
+  }
+  int64_t checksum = 0;
+  const double sec = bench::MedianSeconds(
+      [&] {
+        for (const Query& q : f.train) {
+          auto card = f.exec->Cardinality(q);
+          SAM_CHECK(card.ok()) << card.status().ToString();
+          checksum ^= card.ValueOrDie();
+        }
+      },
+      kSamples);
+  Report(records, "engine.eval." + name,
+         static_cast<double>(f.train.size()) / sec, "queries/s");
+}
+
+int Run(int argc, char** argv) {
+  bench::ExitOnUnreadFlags(Flags(argc, argv, 1));
+  const CensusFixture fixture;
+  std::vector<bench::BenchRecord> records;
   const kernels::Backend saved = kernels::ActiveBackend();
-  kernels::SetBackend(b);
-  const size_t batch = static_cast<size_t>(state.range(0));
-  const MadeModel::SamplerState s = ObservedState(f, batch);
-  const size_t last_col = f.schema->num_columns() - 1;
-  for (auto _ : state) {
-    const Matrix& probs = f.model->CondProbs(s, last_col);
-    benchmark::DoNotOptimize(probs.data());
+  for (const kernels::Backend b :
+       {kernels::Backend::kScalar, kernels::Backend::kAvx2}) {
+    const std::string name = bench::BackendName(b);
+    if (b == kernels::Backend::kAvx2 && !kernels::Avx2Available()) {
+      std::printf("%s probes skipped: AVX2 unavailable\n", name.c_str());
+      continue;
+    }
+    kernels::SetBackend(b);
+    RunProbes(fixture, name, &records);
   }
   kernels::SetBackend(saved);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-}
-void BM_MadeCondProbsScalar(benchmark::State& state) {
-  BM_MadeCondProbsBackend(state, kernels::Backend::kScalar);
-}
-void BM_MadeCondProbsAvx2(benchmark::State& state) {
-  BM_MadeCondProbsBackend(state, kernels::Backend::kAvx2);
-}
-BENCHMARK(BM_MadeCondProbsScalar)->Arg(512)->Arg(2048);
-BENCHMARK(BM_MadeCondProbsAvx2)->Arg(512)->Arg(2048);
-
-void BM_KernelMatmul(benchmark::State& state, kernels::Backend b) {
-  if (b == kernels::Backend::kAvx2 && !kernels::Avx2Available()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
+  const Status written =
+      bench::WriteBenchJson("BENCH_micro_ar.json", "micro_ar", records);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+    return 1;
   }
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> a(n * n, 1.5), bm(n * n, -0.75), c(n * n);
-  const auto& table = kernels::Table(b);
-  for (auto _ : state) {
-    table.matmul(a.data(), n, n, bm.data(), n, c.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(2 * n * n * n));
+  return 0;
 }
-void BM_KernelMatmulScalar(benchmark::State& state) {
-  BM_KernelMatmul(state, kernels::Backend::kScalar);
-}
-void BM_KernelMatmulAvx2(benchmark::State& state) {
-  BM_KernelMatmul(state, kernels::Backend::kAvx2);
-}
-BENCHMARK(BM_KernelMatmulScalar)->Arg(64)->Arg(256);
-BENCHMARK(BM_KernelMatmulAvx2)->Arg(64)->Arg(256);
-
-// Word-level bitmap predicate evaluation against a census-sized code column.
-void BM_EvalPredicates(benchmark::State& state, kernels::Backend b) {
-  if (b == kernels::Backend::kAvx2 && !kernels::Avx2Available()) {
-    state.SkipWithError("AVX2 unavailable");
-    return;
-  }
-  auto& f = Fixture();
-  const kernels::Backend saved = kernels::ActiveBackend();
-  kernels::SetBackend(b);
-  size_t q = 0;
-  for (auto _ : state) {
-    auto card = f.exec->Cardinality(f.train[q % f.train.size()]);
-    SAM_CHECK(card.ok());
-    benchmark::DoNotOptimize(card.ValueOrDie());
-    ++q;
-  }
-  kernels::SetBackend(saved);
-}
-void BM_EvalPredicatesScalar(benchmark::State& state) {
-  BM_EvalPredicates(state, kernels::Backend::kScalar);
-}
-void BM_EvalPredicatesAvx2(benchmark::State& state) {
-  BM_EvalPredicates(state, kernels::Backend::kAvx2);
-}
-BENCHMARK(BM_EvalPredicatesScalar);
-BENCHMARK(BM_EvalPredicatesAvx2);
-
-void BM_MadeObserve(benchmark::State& state) {
-  auto& f = Fixture();
-  const size_t batch = static_cast<size_t>(state.range(0));
-  MadeModel::SamplerState s = f.model->InitState(batch);
-  const std::vector<int32_t> codes(batch, 0);
-  for (auto _ : state) {
-    f.model->Observe(&s, 0, codes);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_MadeObserve)->Arg(512);
-
-void BM_ProgressiveEstimate(benchmark::State& state) {
-  auto& f = Fixture();
-  ProgressiveEstimator est(f.model.get(), static_cast<size_t>(state.range(0)));
-  size_t q = 0;
-  for (auto _ : state) {
-    auto card = est.EstimateCardinality(f.train[q % f.train.size()]);
-    SAM_CHECK(card.ok());
-    benchmark::DoNotOptimize(card.ValueOrDie());
-    ++q;
-  }
-}
-BENCHMARK(BM_ProgressiveEstimate)->Arg(64)->Arg(256);
-
-// K queries coalesced into one batched call (args: {coalesced, paths});
-// items/sec is queries/sec. Compare against BM_ProgressiveEstimate at the
-// same path count for the fusion win; pass --threads via bench_estimation
-// for the pool-sharded numbers (google-benchmark timing and ThreadPool don't
-// compose cleanly here, so this one stays single-threaded).
-void BM_BatchedProgressiveEstimate(benchmark::State& state) {
-  auto& f = Fixture();
-  const size_t coalesced = static_cast<size_t>(state.range(0));
-  const size_t paths = static_cast<size_t>(state.range(1));
-  BatchedProgressiveEstimator est(f.model.get());
-  std::vector<Query> queries;
-  for (size_t i = 0; i < coalesced; ++i) {
-    queries.push_back(f.train[i % f.train.size()]);
-  }
-  for (auto _ : state) {
-    auto cards = est.EstimateBatch(queries, paths);
-    SAM_CHECK(cards.ok());
-    benchmark::DoNotOptimize(cards.ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(coalesced));
-}
-BENCHMARK(BM_BatchedProgressiveEstimate)
-    ->Args({1, 64})
-    ->Args({8, 64})
-    ->Args({64, 64})
-    ->Args({8, 256});
-
-void BM_DpsTrainStep(benchmark::State& state) {
-  auto& f = Fixture();
-  MadeModel::Options mopts;
-  mopts.hidden_sizes = {64, 64};
-  MadeModel model(f.schema.get(), mopts);
-  DpsOptions dopts;
-  dopts.epochs = 1;
-  dopts.batch_size = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto stats = TrainDps(&model, f.train, dopts);
-    SAM_CHECK(stats.ok());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(f.train.size()));
-}
-BENCHMARK(BM_DpsTrainStep)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_ExecutorCardinality(benchmark::State& state) {
-  auto& f = Fixture();
-  size_t q = 0;
-  for (auto _ : state) {
-    auto card = f.exec->Cardinality(f.train[q % f.train.size()]);
-    SAM_CHECK(card.ok());
-    benchmark::DoNotOptimize(card.ValueOrDie());
-    ++q;
-  }
-}
-BENCHMARK(BM_ExecutorCardinality);
 
 }  // namespace
 }  // namespace sam
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return sam::Run(argc, argv); }

@@ -9,8 +9,9 @@
 // run.
 //
 // Results go to stdout and (machine-readable, for cross-PR perf tracking) to
-// --json-out, default BENCH_scale.json: rows/sec per (leg, cap), plus process
-// peak RSS.
+// --json-out, default BENCH_scale.json, through bench::WriteBenchJson:
+// rows/sec per (leg, cap) with the run's wall and process-CPU seconds, plus
+// process peak RSS.
 //
 // Flags:
 //   --smoke          tiny sizes (CI)
@@ -25,12 +26,7 @@
 
 #include <sys/resource.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,45 +43,24 @@ namespace sam {
 namespace {
 
 struct Args {
-  bool smoke = false;
-  size_t rows = 12000;
-  size_t titles = 1200;
-  size_t foj_samples = 16384;
-  std::string json_out = "BENCH_scale.json";
+  bool smoke;
+  size_t rows;
+  size_t titles;
+  size_t foj_samples;
+  std::string json_out;
 };
 
 Args ParseArgs(int argc, char** argv) {
+  const Flags flags(argc, argv, 1);
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (arg == "--smoke") {
-      args.smoke = true;
-      args.rows = 3000;
-      args.titles = 300;
-      args.foj_samples = 8192;
-    } else if (const char* v = value("--rows=")) {
-      args.rows = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--titles=")) {
-      args.titles = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--foj-samples=")) {
-      args.foj_samples = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--json-out=")) {
-      args.json_out = v;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  args.smoke = flags.GetBool("smoke");
+  args.rows = bench::CountFlag(flags, "rows", args.smoke ? 3000 : 12000, 1);
+  args.titles = bench::CountFlag(flags, "titles", args.smoke ? 300 : 1200, 1);
+  args.foj_samples = bench::CountFlag(flags, "foj-samples",
+                                      args.smoke ? 8192 : 16384, 1);
+  args.json_out = flags.Get("json-out", "BENCH_scale.json");
+  bench::ExitOnUnreadFlags(flags);
   return args;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 double PeakRssMib() {
@@ -94,33 +69,11 @@ double PeakRssMib() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB.
 }
 
-/// Unique per-run working directory, removed on exit — previous versions of
-/// this bench shared a fixed path, so two concurrent invocations (or a
-/// crashed one's leftovers) corrupted each other's runs.
-class ScratchDir {
- public:
-  ScratchDir() {
-    std::random_device rd;
-    const auto d = std::filesystem::temp_directory_path() /
-                   ("sam_bench_scale_" + std::to_string(::getpid()) + "_" +
-                    std::to_string(rd() % 100000));
-    std::filesystem::create_directories(d);
-    path_ = d.string();
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 struct RunResult {
   double rows_per_sec = 0;
   uint64_t rows = 0;
   int64_t peak_reserved = 0;
+  bench::Timing timing;
 };
 
 /// One timed pipeline run; exits the process on any pipeline error.
@@ -131,14 +84,14 @@ RunResult TimedRun(const SamModel& sam, const std::string& root,
   popts.out_dir = root + "/out_" + tag;
   popts.work_dir = root + "/work_" + tag;
   GenerationPipeline pipeline(&sam, popts);
-  const auto t0 = std::chrono::steady_clock::now();
+  const bench::CpuWallTimer timer;
   auto run = pipeline.Run();
-  const double seconds = SecondsSince(t0);
+  r.timing = timer.Elapsed();
   SAM_CHECK(run.ok()) << tag << ": " << run.status().ToString();
   SAM_CHECK(run.ValueOrDie().completed) << tag;
   r.rows = run.ValueOrDie().rows_written;
   r.peak_reserved = run.ValueOrDie().peak_reserved;
-  r.rows_per_sec = static_cast<double>(r.rows) / seconds;
+  r.rows_per_sec = static_cast<double>(r.rows) / r.timing.wall_s;
   return r;
 }
 
@@ -149,7 +102,7 @@ void CheckCap(const RunResult& r, int64_t cap, const std::string& tag) {
 
 int Run(int argc, char** argv) {
   const Args args = ParseArgs(argc, argv);
-  ScratchDir scratch;
+  bench::ScratchDir scratch("bench_scale");
   const size_t hw = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf("bench_scale: census rows=%zu, imdb titles=%zu, foj=%zu, "
@@ -157,11 +110,7 @@ int Run(int argc, char** argv) {
               args.rows, args.titles, args.foj_samples, hw);
 
   // -- Census leg: single-relation, loose and tight cap --------------------
-  struct CensusPoint {
-    int64_t cap_mib;
-    double rows_per_sec;
-  };
-  std::vector<CensusPoint> census_points;
+  std::vector<bench::BenchRecord> records;
   {
     Database db = MakeCensusLike(args.rows, /*seed=*/71);
     auto exec = Executor::Create(&db);
@@ -185,7 +134,8 @@ int Run(int argc, char** argv) {
       const std::string tag = "census_c" + std::to_string(cap_mib);
       const RunResult r = TimedRun(*sam.ValueOrDie(), scratch.path(), tag);
       CheckCap(r, options.memory_cap_bytes, tag);
-      census_points.push_back(CensusPoint{cap_mib, r.rows_per_sec});
+      records.push_back({tag + "_rows_per_s", r.rows_per_sec, "rows/s",
+                         r.timing});
       std::printf("census   cap=%4lld MiB  %10.0f rows/s\n",
                   static_cast<long long>(cap_mib), r.rows_per_sec);
     }
@@ -222,33 +172,18 @@ int Run(int argc, char** argv) {
                 multirel.rows_per_sec);
   }
 
+  records.push_back({"multirel_c4_rows_per_s", multirel.rows_per_sec,
+                     "rows/s", multirel.timing});
+  records.push_back(
+      {"multirel_rows", static_cast<double>(multirel.rows), "rows", {}});
   const double peak_rss_mib = PeakRssMib();
   std::printf("peak RSS %.1f MiB\n", peak_rss_mib);
+  records.push_back({"peak_rss_mib", peak_rss_mib, "MiB", {}});
 
-  if (!args.json_out.empty()) {
-    FILE* f = std::fopen(args.json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", args.json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\"bench\": \"scale\", \"hw_threads\": %zu, "
-                 "\"peak_rss_mib\": %.1f, \"census\": [",
-                 hw, peak_rss_mib);
-    for (size_t i = 0; i < census_points.size(); ++i) {
-      std::fprintf(f, "%s{\"cap_mib\": %lld, \"rows_per_sec\": %.0f}",
-                   i == 0 ? "" : ", ",
-                   static_cast<long long>(census_points[i].cap_mib),
-                   census_points[i].rows_per_sec);
-    }
-    std::fprintf(f,
-                 "], \"multirel\": {\"cap_mib\": %lld, \"rows\": %llu, "
-                 "\"rows_per_sec\": %.0f}}\n",
-                 static_cast<long long>(multirel_cap >> 20),
-                 static_cast<unsigned long long>(multirel.rows),
-                 multirel.rows_per_sec);
-    std::fclose(f);
-    std::printf("wrote %s\n", args.json_out.c_str());
+  const Status written = bench::WriteBenchJson(args.json_out, "scale", records);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+    return 1;
   }
   return 0;
 }

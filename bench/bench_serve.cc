@@ -25,16 +25,13 @@
 //   --workload=F    queries for external mode (workload text format)
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/string_util.h"
+#include "bench_common.h"
 #include "datasets/datasets.h"
 #include "engine/executor.h"
 #include "obs/json.h"
@@ -49,50 +46,29 @@ namespace sam {
 namespace {
 
 struct Args {
-  bool smoke = false;
-  size_t clients = 8;
-  size_t requests = 200;
-  size_t pipeline = 4;
-  size_t rows = 40000;
-  double min_speedup = 0;  // 0 = report only.
-  int port = 0;            // 0 = self-hosted.
-  std::string host = "127.0.0.1";
+  size_t clients;
+  size_t requests;
+  size_t pipeline;
+  size_t rows;
+  double min_speedup;  // 0 = report only.
+  int port;            // 0 = self-hosted.
+  std::string host;
   std::string workload;
 };
 
 Args ParseArgs(int argc, char** argv) {
+  const Flags flags(argc, argv, 1);
+  const bool smoke = flags.GetBool("smoke");
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&arg](const char* prefix) -> const char* {
-      const size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (arg == "--smoke") {
-      args.smoke = true;
-      args.requests = 40;
-      args.rows = 4000;
-    } else if (const char* v = value("--clients=")) {
-      args.clients = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--requests=")) {
-      args.requests = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--pipeline=")) {
-      args.pipeline = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--rows=")) {
-      args.rows = static_cast<size_t>(std::atoll(v));
-    } else if (const char* v = value("--min-speedup=")) {
-      args.min_speedup = std::atof(v);
-    } else if (const char* v = value("--port=")) {
-      args.port = std::atoi(v);
-    } else if (const char* v = value("--host=")) {
-      args.host = v;
-    } else if (const char* v = value("--workload=")) {
-      args.workload = v;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      std::exit(2);
-    }
-  }
+  args.clients = bench::CountFlag(flags, "clients", 8, 1);
+  args.requests = bench::CountFlag(flags, "requests", smoke ? 40 : 200, 1);
+  args.pipeline = bench::CountFlag(flags, "pipeline", 4, 1);
+  args.rows = bench::CountFlag(flags, "rows", smoke ? 4000 : 40000, 1);
+  args.min_speedup = bench::DoubleFlag(flags, "min-speedup", 0);
+  args.port = static_cast<int>(bench::CountFlag(flags, "port", 0, 0));
+  args.host = flags.Get("host", "127.0.0.1");
+  args.workload = flags.Get("workload");
+  bench::ExitOnUnreadFlags(flags);
   return args;
 }
 
@@ -116,7 +92,7 @@ Result<LoadResult> RunLoad(const Args& args, const std::string& host, int port,
   std::atomic<uint64_t> errors{0};
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
-  const auto t0 = std::chrono::steady_clock::now();
+  const Stopwatch watch;
   for (size_t c = 0; c < args.clients; ++c) {
     threads.emplace_back([&, c] {
       auto client = serve::ServeClient::Connect(host, port);
@@ -156,9 +132,7 @@ Result<LoadResult> RunLoad(const Args& args, const std::string& host, int port,
   }
   for (std::thread& t : threads) t.join();
   LoadResult result;
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  result.seconds = watch.ElapsedSeconds();
   result.ok_responses = ok.load();
   result.errors = errors.load();
   if (failed.load()) return Status::IOError("a load client failed");

@@ -414,7 +414,9 @@ Result<std::vector<DpsEpochStats>> TrainDps(MadeModel* model,
     c.stats = stats;
     SAM_RETURN_NOT_OK(c.Save(options.checkpoint_dir + "/" +
                              CheckpointFileName(epoch, step)));
-    PruneCheckpoints(options.checkpoint_dir, options.checkpoint_keep);
+    PruneCheckpointsWithPrefix(options.checkpoint_dir,
+                               kTrainingCheckpointPrefix,
+                               options.checkpoint_keep);
     return Status::OK();
   };
 

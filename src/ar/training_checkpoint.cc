@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "common/logging.h"
 #include "storage/artifact_io.h"
 
 namespace sam {
@@ -120,7 +119,8 @@ Result<TrainingCheckpoint> TrainingCheckpoint::Load(const std::string& path) {
 
 std::string CheckpointFileName(uint64_t epoch, uint64_t step_start) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "ckpt_%06llu_%08llu.ckpt",
+  std::snprintf(buf, sizeof(buf), "%s%06llu_%08llu.ckpt",
+                kTrainingCheckpointPrefix,
                 static_cast<unsigned long long>(epoch),
                 static_cast<unsigned long long>(step_start));
   return buf;
@@ -148,29 +148,10 @@ std::vector<std::string> ListCheckpointFilesWithPrefix(
   return paths;
 }
 
-std::vector<std::string> ListCheckpointFiles(const std::string& dir) {
-  return ListCheckpointFilesWithPrefix(dir, "ckpt_");
-}
-
 Result<TrainingCheckpoint> LoadLatestValidCheckpoint(
     const std::string& dir, std::string* loaded_path) {
-  const std::vector<std::string> files = ListCheckpointFiles(dir);
-  if (files.empty()) {
-    return Status::NotFound("no checkpoints in '" + dir + "'");
-  }
-  for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    Result<TrainingCheckpoint> loaded = TrainingCheckpoint::Load(*it);
-    if (loaded.ok()) {
-      if (loaded_path != nullptr) *loaded_path = *it;
-      return loaded;
-    }
-    SAM_LOG(Warn) << "skipping corrupt checkpoint " << *it << ": "
-                     << loaded.status().ToString();
-  }
-  return Status::IOError("all " + std::to_string(files.size()) +
-                         " checkpoint(s) in '" + dir +
-                         "' are corrupt; refusing to restart from scratch "
-                         "silently (clear the directory to start over)");
+  return LoadLatestValidWithPrefix<TrainingCheckpoint>(
+      dir, kTrainingCheckpointPrefix, "checkpoint", loaded_path);
 }
 
 void PruneCheckpointsWithPrefix(const std::string& dir,
@@ -183,10 +164,6 @@ void PruneCheckpointsWithPrefix(const std::string& dir,
   for (size_t i = 0; i + keep < files.size(); ++i) {
     std::filesystem::remove(files[i], ec);
   }
-}
-
-void PruneCheckpoints(const std::string& dir, size_t keep) {
-  PruneCheckpointsWithPrefix(dir, "ckpt_", keep);
 }
 
 }  // namespace sam

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ar/dps_trainer.h"
+#include "common/logging.h"
 #include "common/result.h"
 #include "linalg/matrix.h"
 
@@ -69,39 +70,62 @@ struct TrainingCheckpoint {
   static Result<TrainingCheckpoint> Load(const std::string& path);
 };
 
+/// File-name prefix of training checkpoints.
+inline constexpr char kTrainingCheckpointPrefix[] = "ckpt_";
+
 /// Canonical checkpoint file name for a cursor, chosen so lexicographic
 /// order equals training order: `ckpt_<epoch:06>_<step:08>.ckpt`.
 std::string CheckpointFileName(uint64_t epoch, uint64_t step_start);
 
-/// Checkpoint files in `dir` (exact `ckpt_*.ckpt` matches only — temp files
-/// from torn commits are never listed), sorted oldest → newest. An absent
-/// directory yields an empty list.
-std::vector<std::string> ListCheckpointFiles(const std::string& dir);
-
-/// Prefix-parameterised variant shared with the generation checkpoints
-/// (`genckpt_*.ckpt`): lists `<prefix>*.ckpt` files in `dir`, sorted
-/// oldest → newest (names embed zero-padded cursors, so lexicographic order
-/// is progress order).
+/// Checkpoint files `<prefix>*.ckpt` in `dir` (`kTrainingCheckpointPrefix`,
+/// or `kGenerationCheckpointPrefix` for the generation pipeline). Exact
+/// matches only, so temp files from torn commits are never listed. Sorted
+/// oldest → newest: names embed zero-padded cursors, so lexicographic order
+/// is progress order. An absent directory yields an empty list.
 std::vector<std::string> ListCheckpointFilesWithPrefix(
     const std::string& dir, const std::string& prefix);
 
-/// \brief Loads the newest checkpoint in `dir` that passes validation.
+/// \brief Loads the newest `<prefix>*.ckpt` in `dir` that
+/// `Checkpoint::Load` accepts; `what` names the kind in messages.
 ///
 /// Corrupt files are skipped (with a warning) and the next-older candidate
 /// is tried — a crash mid-commit therefore falls back to the previous valid
 /// snapshot. Returns `NotFound` when the directory holds no checkpoints at
 /// all, and `IOError` when checkpoints exist but every one is corrupt
-/// (training state existed and was lost; starting silently from scratch
-/// would mask the corruption).
+/// (state existed and was lost; starting silently from scratch would mask
+/// the corruption).
+template <typename Checkpoint>
+Result<Checkpoint> LoadLatestValidWithPrefix(const std::string& dir,
+                                             const std::string& prefix,
+                                             const std::string& what,
+                                             std::string* loaded_path) {
+  const std::vector<std::string> files =
+      ListCheckpointFilesWithPrefix(dir, prefix);
+  if (files.empty()) {
+    return Status::NotFound("no " + what + "s in '" + dir + "'");
+  }
+  for (auto it = files.rbegin(); it != files.rend(); ++it) {
+    Result<Checkpoint> loaded = Checkpoint::Load(*it);
+    if (loaded.ok()) {
+      if (loaded_path != nullptr) *loaded_path = *it;
+      return loaded;
+    }
+    SAM_LOG(Warn) << "skipping corrupt " << what << " " << *it << ": "
+                  << loaded.status().ToString();
+  }
+  return Status::IOError("all " + std::to_string(files.size()) + " " + what +
+                         "(s) in '" + dir +
+                         "' are corrupt; refusing to restart from scratch "
+                         "silently (clear the directory to start over)");
+}
+
+/// Newest valid training checkpoint in `dir` (see
+/// `LoadLatestValidWithPrefix`).
 Result<TrainingCheckpoint> LoadLatestValidCheckpoint(const std::string& dir,
                                                      std::string* loaded_path);
 
-/// Deletes all but the newest `keep` checkpoints in `dir` (0 keeps all).
-/// Best-effort: deletion errors are ignored.
-void PruneCheckpoints(const std::string& dir, size_t keep);
-
-/// Prefix-parameterised variant of `PruneCheckpoints` (see
-/// `ListCheckpointFilesWithPrefix`).
+/// Deletes all but the newest `keep` `<prefix>*.ckpt` files in `dir` (0 keeps
+/// all). Best-effort: deletion errors are ignored.
 void PruneCheckpointsWithPrefix(const std::string& dir,
                                 const std::string& prefix, size_t keep);
 

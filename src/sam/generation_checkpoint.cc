@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "ar/training_checkpoint.h"
-#include "common/logging.h"
 #include "storage/artifact_io.h"
 
 namespace sam {
@@ -12,7 +11,6 @@ namespace {
 
 constexpr char kGenCheckpointKind[] = "GENCKPT";
 constexpr uint32_t kGenCheckpointVersion = 1;
-constexpr char kGenCheckpointPrefix[] = "genckpt_";
 
 }  // namespace
 
@@ -110,35 +108,15 @@ Result<GenerationCheckpoint> GenerationCheckpoint::Load(
 
 std::string GenerationCheckpointFileName(uint64_t next_step) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%s%08llu.ckpt", kGenCheckpointPrefix,
+  std::snprintf(buf, sizeof(buf), "%s%08llu.ckpt", kGenerationCheckpointPrefix,
                 static_cast<unsigned long long>(next_step));
   return buf;
 }
 
 Result<GenerationCheckpoint> LoadLatestValidGenerationCheckpoint(
     const std::string& dir, std::string* loaded_path) {
-  const std::vector<std::string> files =
-      ListCheckpointFilesWithPrefix(dir, kGenCheckpointPrefix);
-  if (files.empty()) {
-    return Status::NotFound("no generation checkpoints in '" + dir + "'");
-  }
-  for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    Result<GenerationCheckpoint> loaded = GenerationCheckpoint::Load(*it);
-    if (loaded.ok()) {
-      if (loaded_path != nullptr) *loaded_path = *it;
-      return loaded;
-    }
-    SAM_LOG(Warn) << "skipping corrupt generation checkpoint " << *it << ": "
-                  << loaded.status().ToString();
-  }
-  return Status::IOError("all " + std::to_string(files.size()) +
-                         " generation checkpoint(s) in '" + dir +
-                         "' are corrupt; refusing to restart from scratch "
-                         "silently (clear the directory to start over)");
-}
-
-void PruneGenerationCheckpoints(const std::string& dir, size_t keep) {
-  PruneCheckpointsWithPrefix(dir, kGenCheckpointPrefix, keep);
+  return LoadLatestValidWithPrefix<GenerationCheckpoint>(
+      dir, kGenerationCheckpointPrefix, "generation checkpoint", loaded_path);
 }
 
 }  // namespace sam

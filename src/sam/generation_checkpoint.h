@@ -73,19 +73,17 @@ struct GenerationCheckpoint {
   static Result<GenerationCheckpoint> Load(const std::string& path);
 };
 
+/// File-name prefix of generation checkpoints.
+inline constexpr char kGenerationCheckpointPrefix[] = "genckpt_";
+
 /// Canonical file name for a step cursor, chosen so lexicographic order is
 /// pipeline order: `genckpt_<next_step:08>.ckpt`.
 std::string GenerationCheckpointFileName(uint64_t next_step);
 
-/// \brief Loads the newest generation checkpoint in `dir` that passes
-/// validation (same fallback semantics as the training-side
-/// `LoadLatestValidCheckpoint`): corrupt files are skipped with a warning,
+/// Newest valid generation checkpoint in `dir`, with the fallback semantics
+/// of `LoadLatestValidWithPrefix`: corrupt files are skipped with a warning,
 /// `NotFound` when none exist, `IOError` when all are corrupt.
 Result<GenerationCheckpoint> LoadLatestValidGenerationCheckpoint(
     const std::string& dir, std::string* loaded_path);
-
-/// Deletes all but the newest `keep` generation checkpoints in `dir`
-/// (0 keeps all). Best-effort.
-void PruneGenerationCheckpoints(const std::string& dir, size_t keep);
 
 }  // namespace sam

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "ar/training_checkpoint.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -932,7 +933,8 @@ struct GenerationPipeline::Impl {
     obs::MetricsRegistry::Global()
         .GetCounter("sam.generate.checkpoints")
         ->Add(1);
-    PruneGenerationCheckpoints(opts.work_dir, opts.checkpoint_keep);
+    PruneCheckpointsWithPrefix(opts.work_dir, kGenerationCheckpointPrefix,
+                               opts.checkpoint_keep);
     return Status::OK();
   }
 

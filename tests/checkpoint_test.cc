@@ -283,7 +283,8 @@ TEST_F(CheckpointTest, ResumeAfterEpochBoundaryStopIsBitIdentical) {
     // Stopped after 2 of 3 epochs; the partial epoch reports no stats entry.
     EXPECT_EQ(stats.ValueOrDie().size(), 2u);
   }
-  ASSERT_FALSE(ListCheckpointFiles(dir).empty());
+  ASSERT_FALSE(
+      ListCheckpointFilesWithPrefix(dir, kTrainingCheckpointPrefix).empty());
 
   stop.store(false);
   o.resume = true;
@@ -490,7 +491,8 @@ TEST_F(CheckpointTest, AllCheckpointsCorruptIsAnErrorNotASilentRestart) {
     MadeModel model(&env->schema, SmallModelOptions());
     ASSERT_TRUE(TrainDps(&model, env->train, o).ok());
   }
-  const auto files = ListCheckpointFiles(dir);
+  const auto files =
+      ListCheckpointFilesWithPrefix(dir, kTrainingCheckpointPrefix);
   ASSERT_FALSE(files.empty());
   for (const auto& f : files) {
     std::ofstream out(f, std::ios::binary | std::ios::trunc);
@@ -512,7 +514,8 @@ TEST_F(CheckpointTest, RetentionKeepsOnlyNewestCheckpoints) {
   o.checkpoint_keep = 2;
   MadeModel model(&env->schema, SmallModelOptions());
   ASSERT_TRUE(TrainDps(&model, env->train, o).ok());
-  const auto files = ListCheckpointFiles(dir);
+  const auto files =
+      ListCheckpointFilesWithPrefix(dir, kTrainingCheckpointPrefix);
   EXPECT_LE(files.size(), 2u);
   EXPECT_FALSE(files.empty());
   // The newest (final) checkpoint is the epoch-4 boundary snapshot.

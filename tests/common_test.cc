@@ -2,9 +2,12 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "ar/dps_trainer.h"
 #include "ar/estimator.h"
+#include "common/flags.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -205,6 +208,47 @@ TEST(StringUtilTest, FormatMetricSwitchesNotation) {
   EXPECT_EQ(FormatMetric(1.274), "1.27");
   EXPECT_EQ(FormatMetric(149.53), "149.5");
   EXPECT_EQ(FormatMetric(2e6), "2.0e+06");
+}
+
+/// Builds a Flags over `args` the way main() hands over argv.
+Flags MakeFlags(std::vector<std::string> args) {
+  std::vector<char*> argv = {const_cast<char*>("prog")};
+  for (std::string& a : args) argv.push_back(a.data());
+  return Flags(static_cast<int>(argv.size()), argv.data(), 1);
+}
+
+TEST(FlagsTest, MalformedNumbersAreRejectedNamingTheFlag) {
+  const Flags flags = MakeFlags({"--rows=12abc", "--lr=0.5x"});
+  const Status rows = flags.GetInt("rows", 0).status();
+  EXPECT_EQ(rows.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rows.message().find("--rows"), std::string::npos);
+  const Status lr = flags.GetDouble("lr", 0).status();
+  EXPECT_EQ(lr.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(lr.message().find("--lr"), std::string::npos);
+}
+
+TEST(FlagsTest, CountBelowMinimumIsRejected) {
+  const Flags flags = MakeFlags({"--threads=-1", "--repeats=0"});
+  const Status threads = flags.GetCount("threads", 0, 0).status();
+  EXPECT_EQ(threads.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(threads.message().find("--threads"), std::string::npos);
+  EXPECT_FALSE(flags.GetCount("repeats", 3, 1).ok());
+  EXPECT_EQ(flags.GetCount("paths", 7, 1).ValueOrDie(), 7);
+}
+
+TEST(FlagsTest, BareFlagReadsAsTrue) {
+  const Flags flags = MakeFlags({"--smoke", "--verbose=0"});
+  EXPECT_TRUE(flags.GetBool("smoke"));
+  EXPECT_EQ(flags.Get("smoke"), "true");
+  EXPECT_FALSE(flags.GetBool("verbose"));
+  EXPECT_FALSE(flags.GetBool("absent"));
+}
+
+TEST(FlagsTest, UnreadListsFlagsNoAccessorAskedFor) {
+  const Flags flags = MakeFlags({"--seed=3", "--repets=1", "--smoke"});
+  EXPECT_EQ(flags.GetInt("seed", 1).ValueOrDie(), 3);
+  EXPECT_TRUE(flags.Has("smoke"));
+  EXPECT_EQ(flags.Unread(), std::vector<std::string>{"repets"});
 }
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "ar/training_checkpoint.h"
 #include "sam/generation_checkpoint.h"
 
 namespace sam {
@@ -137,7 +138,7 @@ TEST(GenerationCheckpointTest, PruneKeepsNewestAndIgnoresTrainingFiles) {
   // A training-style checkpoint in the same directory must survive pruning.
   std::ofstream(dir + "/ckpt_00000001.ckpt") << "training";
 
-  PruneGenerationCheckpoints(dir, 2);
+  PruneCheckpointsWithPrefix(dir, kGenerationCheckpointPrefix, 2);
   EXPECT_FALSE(
       std::filesystem::exists(dir + "/" + GenerationCheckpointFileName(1)));
   EXPECT_FALSE(
@@ -149,7 +150,7 @@ TEST(GenerationCheckpointTest, PruneKeepsNewestAndIgnoresTrainingFiles) {
   EXPECT_TRUE(std::filesystem::exists(dir + "/ckpt_00000001.ckpt"));
 
   // keep == 0 keeps everything.
-  PruneGenerationCheckpoints(dir, 0);
+  PruneCheckpointsWithPrefix(dir, kGenerationCheckpointPrefix, 0);
   EXPECT_TRUE(
       std::filesystem::exists(dir + "/" + GenerationCheckpointFileName(9)));
 }

@@ -32,13 +32,13 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ar/batched_estimator.h"
 #include "ar/estimator.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/string_util.h"
@@ -63,94 +63,6 @@ namespace {
 std::atomic<bool> g_stop_requested{false};
 
 void HandleStopSignal(int /*signum*/) { g_stop_requested.store(true); }
-
-/// Minimal --key=value flag map.
-class Flags {
- public:
-  Flags(int argc, char** argv, int start) {
-    for (int i = start; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (!StartsWith(arg, "--")) {
-        std::fprintf(stderr, "warning: ignoring positional argument '%s'\n",
-                     arg.c_str());
-        continue;
-      }
-      arg = arg.substr(2);
-      const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg] = "true";
-      } else {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      }
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    const auto it = Find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  /// Checked numeric flag access: malformed values (junk, trailing garbage,
-  /// overflow) fail with an InvalidArgument naming the flag instead of being
-  /// silently truncated to whatever strtoll made of the prefix.
-  Result<int64_t> GetInt(const std::string& key, int64_t fallback) const {
-    const auto it = Find(key);
-    if (it == values_.end()) return fallback;
-    auto v = ParseInt64(it->second);
-    if (!v.ok()) {
-      return Status::InvalidArgument("--" + key + ": " + v.status().message());
-    }
-    return v;
-  }
-
-  /// Checked count flag: GetInt plus a lower bound. A value below `min`
-  /// fails with an InvalidArgument naming the flag, so a negative count is
-  /// never cast to a huge size_t.
-  Result<int64_t> GetCount(const std::string& key, int64_t fallback,
-                           int64_t min) const {
-    SAM_ASSIGN_OR_RETURN(const int64_t v, GetInt(key, fallback));
-    if (v < min) {
-      return Status::InvalidArgument("--" + key + " must be >= " +
-                                     std::to_string(min));
-    }
-    return v;
-  }
-
-  Result<double> GetDouble(const std::string& key, double fallback) const {
-    const auto it = Find(key);
-    if (it == values_.end()) return fallback;
-    auto v = ParseFloat64(it->second);
-    if (!v.ok()) {
-      return Status::InvalidArgument("--" + key + ": " + v.status().message());
-    }
-    return v;
-  }
-
-  bool GetBool(const std::string& key) const {
-    return Get(key) == "true" || Get(key) == "1";
-  }
-
-  bool Has(const std::string& key) const { return Find(key) != values_.end(); }
-
-  /// Flags given on the command line that no accessor ever asked for.
-  std::vector<std::string> Unread() const {
-    std::vector<std::string> out;
-    for (const auto& [key, value] : values_) {
-      if (read_.count(key) == 0) out.push_back(key);
-    }
-    return out;
-  }
-
- private:
-  std::map<std::string, std::string>::const_iterator Find(
-      const std::string& key) const {
-    read_.insert(key);
-    return values_.find(key);
-  }
-
-  std::map<std::string, std::string> values_;
-  mutable std::set<std::string> read_;
-};
 
 int Fail(const std::string& msg) {
   std::fprintf(stderr, "error: %s\n", msg.c_str());
@@ -358,6 +270,19 @@ Result<PipelineInputs> LoadPipelineInputs(const Flags& flags) {
   return in;
 }
 
+/// Builds an untrained SAM for the inputs' schema, then loads its weights
+/// from the artifact at `model_path`.
+Result<std::unique_ptr<SamModel>> LoadSamModel(const PipelineInputs& in,
+                                               const SamOptions& options,
+                                               const std::string& model_path) {
+  SAM_ASSIGN_OR_RETURN(
+      std::unique_ptr<SamModel> sam,
+      SamModel::Create(*in.db, in.workload, in.hints, in.foj_size, options));
+  SAM_RETURN_NOT_OK(sam->model()->Load(model_path));
+  sam->model()->SyncSamplerWeights();
+  return sam;
+}
+
 /// Re-labels an existing workload file with true cardinalities computed
 /// against a database, using the batched executor API.
 int CmdLabel(const Flags& flags) {
@@ -468,12 +393,8 @@ int CmdGenerate(const Flags& flags) {
     return Fail("generate: --model=FILE and --out=DIR are required");
   }
 
-  auto sam = SamModel::Create(*in.db, in.workload, in.hints, in.foj_size,
-                              options);
+  auto sam = LoadSamModel(in, options, model_path);
   if (!sam.ok()) return FailStatus(sam.status());
-  Status st = sam.ValueOrDie()->model()->Load(model_path);
-  if (!st.ok()) return FailStatus(st);
-  sam.ValueOrDie()->model()->SyncSamplerWeights();
 
   // The crash-safe out-of-core pipeline engages when any of its flags is
   // present; otherwise generation stays on the in-RAM path. Both publish
@@ -484,7 +405,7 @@ int CmdGenerate(const Flags& flags) {
   if (!out_of_core) {
     auto gen = sam.ValueOrDie()->Generate();
     if (!gen.ok()) return FailStatus(gen.status());
-    st = SaveDatabaseAtomic(gen.ValueOrDie(), out);
+    const Status st = SaveDatabaseAtomic(gen.ValueOrDie(), out);
     if (!st.ok()) return FailStatus(st);
     for (const auto& t : gen.ValueOrDie().tables()) {
       std::printf("%-20s %zu rows\n", t.name().c_str(), t.num_rows());
@@ -591,12 +512,8 @@ int CmdEstimate(const Flags& flags) {
   if (model_path.empty()) return Fail("estimate: --model=FILE is required");
   SamOptions options;
   SAM_CLI_ASSIGN(options, OptionsFromFlags(flags));
-  auto sam = SamModel::Create(*in.db, in.workload, in.hints, in.foj_size,
-                              options);
+  auto sam = LoadSamModel(in, options, model_path);
   if (!sam.ok()) return FailStatus(sam.status());
-  Status st = sam.ValueOrDie()->model()->Load(model_path);
-  if (!st.ok()) return FailStatus(st);
-  sam.ValueOrDie()->model()->SyncSamplerWeights();
 
   int64_t paths = 0;
   int64_t limit_i = 0;
@@ -646,18 +563,14 @@ int CmdServe(const Flags& flags) {
   SamOptions options;
   SAM_CLI_ASSIGN(options, OptionsFromFlags(flags));
 
-  // Shared by startup and the hot-swap watcher: build an untrained SAM for
-  // the schema, then load weights from the artifact. The watcher stages the
-  // whole load off to the side and the server applies it atomically, so a
+  // Shared by startup and the hot-swap watcher. The watcher stages the whole
+  // load off to the side and the server applies it atomically, so a
   // re-trained model dropped onto --model goes live with zero downtime.
   auto load_model =
       [&in, &options,
        model_path]() -> Result<std::shared_ptr<const SamModel>> {
-    SAM_ASSIGN_OR_RETURN(
-        std::unique_ptr<SamModel> sam,
-        SamModel::Create(*in.db, in.workload, in.hints, in.foj_size, options));
-    SAM_RETURN_NOT_OK(sam->model()->Load(model_path));
-    sam->model()->SyncSamplerWeights();
+    SAM_ASSIGN_OR_RETURN(std::unique_ptr<SamModel> sam,
+                         LoadSamModel(in, options, model_path));
     return std::shared_ptr<const SamModel>(std::move(sam));
   };
   auto model = load_model();
